@@ -64,9 +64,11 @@ class TraceLog;
 }  // namespace obs
 
 /// \brief Per-region failure-domain knobs (DESIGN.md §15). Honored only by
-/// ShardedMarketEngine: a region whose close fails is quarantined — its
-/// cells serve cached quotes, its open tasks defer to the next period —
-/// instead of failing the whole close. MarketEngine ignores this.
+/// ShardedMarketEngine: a region whose close fails is quarantined instead
+/// of failing the whole close — its engine restores the snapshot taken
+/// just before that close, then quiet-advances one period; its cells serve
+/// cached quotes and its open tasks defer to its next close attempt.
+/// MarketEngine ignores this.
 struct FailureDomainOptions {
   /// Off by default: a region-close error fails ClosePeriod, the pre-§15
   /// behavior. When on with no fault armed, outcomes are bit-identical to

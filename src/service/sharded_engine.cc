@@ -91,8 +91,6 @@ ShardedMarketEngine::ShardedMarketEngine(
     m_repatriate_ns_ = m->GetHistogram("sharded.repatriate_ns", wall);
     m_quarantines_ = m->GetCounter("sharded.fd.quarantines", det);
     m_rewinds_ = m->GetCounter("sharded.fd.rewinds", det);
-    m_journal_replays_ = m->GetCounter("sharded.fd.journal_events_replayed",
-                                       det);
     m_backoff_retries_ = m->GetCounter("sharded.fd.backoff_retries", det);
     m_permanent_failures_ = m->GetCounter("sharded.fd.permanent_failures",
                                           det);
@@ -108,7 +106,6 @@ Status ShardedMarketEngine::SubmitTask(const Task& task, double valuation) {
         "task " + std::to_string(task.id) + " grid " +
         std::to_string(task.grid) + " outside the partition");
   }
-  MAPS_RETURN_NOT_OK(EnsureBaseline());
   auto [it, inserted] = task_route_.try_emplace(task.id);
   if (!inserted) {
     obs::BumpMirrored(&local_rejections_.duplicate_tasks,
@@ -147,17 +144,9 @@ Status ShardedMarketEngine::AddWorker(const Worker& worker) {
     return Status::InvalidArgument("worker " + std::to_string(worker.id) +
                                    " outside the partition");
   }
-  MAPS_RETURN_NOT_OK(EnsureBaseline());
   const int region = owner_of_cell_[w.grid];
   MAPS_RETURN_NOT_OK(regions_[region]->AddWorker(w));
   worker_region_[w.id] = region;
-  if (failure_domains_enabled()) {
-    WorkerEvent ev;
-    ev.type = WorkerEvent::Type::kAdd;
-    ev.period = regions_[region]->current_period();
-    ev.worker = w;
-    JournalEvent(region, std::move(ev));
-  }
   return Status::OK();
 }
 
@@ -169,17 +158,7 @@ Status ShardedMarketEngine::RemoveWorker(WorkerId id) {
     return Status::NotFound("worker id " + std::to_string(id) +
                             " was never added");
   }
-  MAPS_RETURN_NOT_OK(EnsureBaseline());
-  const int region = it->second;
-  MAPS_RETURN_NOT_OK(regions_[region]->RemoveWorker(id));
-  if (failure_domains_enabled()) {
-    WorkerEvent ev;
-    ev.type = WorkerEvent::Type::kRemove;
-    ev.period = regions_[region]->current_period();
-    ev.id = id;
-    JournalEvent(region, std::move(ev));
-  }
-  return Status::OK();
+  return regions_[it->second]->RemoveWorker(id);
 }
 
 Status ShardedMarketEngine::ObserveAcceptance(TaskId task, bool accepted) {
@@ -188,79 +167,6 @@ Status ShardedMarketEngine::ObserveAcceptance(TaskId task, bool accepted) {
 }
 
 // --- Failure-domain machinery (DESIGN.md §15) ----------------------------
-
-Status ShardedMarketEngine::EnsureBaseline() {
-  if (!failure_domains_enabled() || baseline_captured_) return Status::OK();
-  // One capture of every region before the first mutating event — after
-  // the caller's strategy warm-up, before any traffic — so a quarantine
-  // always has a restore point.
-  for (int k = 0; k < static_cast<int>(regions_.size()); ++k) {
-    MAPS_RETURN_NOT_OK(CaptureRegionBaseline(k));
-  }
-  baseline_captured_ = true;
-  return Status::OK();
-}
-
-Status ShardedMarketEngine::CaptureRegionBaseline(int k) {
-  RegionDomain& dom = domains_[k];
-  MAPS_RETURN_NOT_OK(regions_[k]->SaveCheckpoint(&dom.last_good));
-  dom.journal.clear();
-  return Status::OK();
-}
-
-void ShardedMarketEngine::JournalEvent(int k, WorkerEvent event) {
-  domains_[k].journal.push_back(std::move(event));
-}
-
-Status ShardedMarketEngine::RewindRegion(int k, int32_t t) {
-  RegionDomain& dom = domains_[k];
-  MAPS_CHECK(!dom.last_good.empty());  // EnsureBaseline preceded all traffic
-  MarketEngine* region = regions_[k].get();
-  {
-    const Status s = region->RestoreFromCheckpoint(dom.last_good);
-    if (!s.ok()) {
-      return Status::Internal("quarantine restore of region " +
-                              std::to_string(k) + ": " + s.message());
-    }
-  }
-  if (m_rewinds_ != nullptr) m_rewinds_->Increment();
-  // Replay the worker events the restore rewound, quiet-advancing between
-  // their periods. Matches, stitch dispatches, and repositioning are NOT
-  // replayed — the quarantined region rewinds to a conservative
-  // "everyone idle at home" view of those workers (divergence list, §15).
-  if (m_journal_replays_ != nullptr) {
-    m_journal_replays_->Add(static_cast<int64_t>(dom.journal.size()));
-  }
-  for (const WorkerEvent& ev : dom.journal) {
-    while (region->current_period() < ev.period) region->AdvanceQuietPeriod();
-    Status s;
-    switch (ev.type) {
-      case WorkerEvent::Type::kAdd:
-        s = region->AddWorker(ev.worker);
-        break;
-      case WorkerEvent::Type::kRemove:
-        s = region->RemoveWorker(ev.id);
-        break;
-      case WorkerEvent::Type::kAdopt:
-        s = region->AdoptWorker(ev.worker, ev.next_free, ev.retire_at);
-        break;
-      case WorkerEvent::Type::kExtract: {
-        Worker base;
-        int32_t retire_at = 0;
-        s = region->ExtractIdleWorker(ev.id, &base, &retire_at);
-        break;
-      }
-    }
-    if (!s.ok()) {
-      return Status::Internal("journal replay in region " +
-                              std::to_string(k) + ": " + s.message());
-    }
-  }
-  // Catch up to the sharded layer: the region sits out period t and opens
-  // t + 1 in lockstep with everyone else.
-  while (region->current_period() <= t) region->AdvanceQuietPeriod();
-  return Status::OK();
-}
 
 Status ShardedMarketEngine::QuarantineRegion(int k, int32_t t) {
   RegionDomain& dom = domains_[k];
@@ -287,19 +193,37 @@ Status ShardedMarketEngine::QuarantineRegion(int k, int32_t t) {
       if (m_backoff_retries_ != nullptr) m_backoff_retries_->Increment();
     }
   }
-  return RewindRegion(k, t);
+  // Rewind: the pre-close snapshot is the region exactly as the failed (or
+  // stalled) close found it, so restoring it undoes whatever that close
+  // did; one quiet advance then has the region sit out period t and open
+  // t + 1 in lockstep with everyone else.
+  const Status s = regions_[k]->RestoreFromCheckpoint(dom.pre_close);
+  if (!s.ok()) {
+    return Status::Internal("quarantine restore of region " +
+                            std::to_string(k) + ": " + s.message());
+  }
+  if (m_rewinds_ != nullptr) m_rewinds_->Increment();
+  regions_[k]->AdvanceQuietPeriod();
+  return Status::OK();
+}
+
+std::vector<TaskId> ShardedMarketEngine::RoutedTasksInOrder(int k) const {
+  std::vector<std::pair<int64_t, TaskId>> order;
+  for (const auto& [id, route] : task_route_) {
+    if (route.region == k) order.push_back({route.seq, id});
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<TaskId> ids;
+  ids.reserve(order.size());
+  for (const auto& [seq, id] : order) ids.push_back(id);
+  return ids;
 }
 
 void ShardedMarketEngine::DeferRegionTasks(int k) {
   // Sweep the open routes of an inactive region into its deferral queue in
   // submission order; acceptance bits ride along. Existing queue entries
   // carry strictly smaller seqs, so the queue stays seq-sorted.
-  std::vector<std::pair<int64_t, TaskId>> order;
-  for (const auto& [id, route] : task_route_) {
-    if (route.region == k) order.push_back({route.seq, id});
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [seq, id] : order) {
+  for (TaskId id : RoutedTasksInOrder(k)) {
     const TaskRoute& route = task_route_.find(id)->second;
     DeferredTask d;
     d.seq = route.seq;
@@ -339,12 +263,7 @@ Status ShardedMarketEngine::ResubmitDeferred(int k) {
   // Nothing routed to this region was forwarded while it was quarantined;
   // forward everything now, in submission order so the region's stage
   // reads like an uninterrupted submission stream.
-  std::vector<std::pair<int64_t, TaskId>> order;
-  for (const auto& [id, route] : task_route_) {
-    if (route.region == k) order.push_back({route.seq, id});
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [seq, id] : order) {
+  for (TaskId id : RoutedTasksInOrder(k)) {
     const TaskRoute& route = task_route_.find(id)->second;
     MAPS_RETURN_NOT_OK(regions_[k]->SubmitTask(route.task, route.valuation));
   }
@@ -369,6 +288,16 @@ Status ShardedMarketEngine::CloseAllRegions(int32_t t) {
                                      t)) {
         inject_stall[k] = 1;
       }
+    }
+  }
+
+  // Restore points, taken serially before the dispatch: each closing
+  // region exactly as its close will find it, staged tasks and bits
+  // included. A snapshot error fails ClosePeriod.
+  if (fd) {
+    for (int k = 0; k < num_regions; ++k) {
+      if (!region_active_[k]) continue;
+      MAPS_RETURN_NOT_OK(regions_[k]->SaveCheckpoint(&domains_[k].pre_close));
     }
   }
 
@@ -635,20 +564,6 @@ Status ShardedMarketEngine::StitchBoundary(int32_t t, PeriodOutcome* out) {
       MAPS_RETURN_NOT_OK(
           regions_[dest_region]->AdoptWorker(base, next_free, retire_at));
       worker_region_[cw.w.id] = dest_region;
-      if (failure_domains_enabled()) {
-        WorkerEvent ex;
-        ex.type = WorkerEvent::Type::kExtract;
-        ex.period = regions_[cw.home]->current_period();
-        ex.id = cw.w.id;
-        JournalEvent(cw.home, std::move(ex));
-        WorkerEvent ad;
-        ad.type = WorkerEvent::Type::kAdopt;
-        ad.period = regions_[dest_region]->current_period();
-        ad.worker = base;
-        ad.next_free = next_free;
-        ad.retire_at = retire_at;
-        JournalEvent(dest_region, std::move(ad));
-      }
     }
   }
   return Status::OK();
@@ -680,20 +595,6 @@ Status ShardedMarketEngine::RepatriateIdleWorkers(int32_t t) {
       MAPS_RETURN_NOT_OK(regions_[owner]->AdoptWorker(base, t, retire_at));
       worker_region_[w.id] = owner;
       if (m_repatriations_ != nullptr) m_repatriations_->Increment();
-      if (failure_domains_enabled()) {
-        WorkerEvent ex;
-        ex.type = WorkerEvent::Type::kExtract;
-        ex.period = regions_[k]->current_period();
-        ex.id = w.id;
-        JournalEvent(k, std::move(ex));
-        WorkerEvent ad;
-        ad.type = WorkerEvent::Type::kAdopt;
-        ad.period = regions_[owner]->current_period();
-        ad.worker = base;
-        ad.next_free = t;
-        ad.retire_at = retire_at;
-        JournalEvent(owner, std::move(ad));
-      }
     }
   }
   return Status::OK();
@@ -704,10 +605,6 @@ Status ShardedMarketEngine::ClosePeriod(PeriodOutcome* out) {
   const int32_t t = period_;
   const int num_regions = static_cast<int>(regions_.size());
   const bool fd = failure_domains_enabled();
-
-  // No traffic ever arrived: capture baselines now so a fault on this very
-  // close still has a restore point.
-  MAPS_RETURN_NOT_OK(EnsureBaseline());
 
   // Which regions close this period: healthy ones, plus quarantined ones
   // whose deterministic retry came due — those get their deferred tasks
@@ -811,15 +708,6 @@ Status ShardedMarketEngine::ClosePeriod(PeriodOutcome* out) {
         dom.backoff = 0;
         dom.next_retry = -1;
         dom.quarantined_since = -1;
-      }
-    }
-    // Refresh the restore point of every region that closed cleanly (the
-    // stitch and repatriation above are part of the period, so the capture
-    // includes them); quarantined regions keep their last-good blob and
-    // their journal keeps accumulating.
-    for (int k = 0; k < num_regions; ++k) {
-      if (region_active_[k] && region_status_[k].ok()) {
-        MAPS_RETURN_NOT_OK(CaptureRegionBaseline(k));
       }
     }
   }
@@ -1267,11 +1155,9 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
   pending_accept_ = std::move(pending);
   region_prices_ = std::move(region_prices);
   // Failure-domain state restarts clean: checkpoints are only written from
-  // fully-healthy deployments, and the restored engines ARE the new
-  // baselines (recaptured lazily before the next mutating event).
+  // fully-healthy deployments, and every close takes its own restore point.
   for (RegionDomain& dom : domains_) dom = RegionDomain{};
   for (auto& queue : deferred_) queue.clear();
-  baseline_captured_ = false;
   region_active_.assign(regions_.size(), 1);
   if (options_.trace != nullptr) {
     options_.trace->Emit(obs::TraceEvent::Kind::kCheckpointRestored, period_,

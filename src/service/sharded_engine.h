@@ -147,21 +147,6 @@ class ShardedMarketEngine {
   // --- Failure domains (DESIGN.md §15); dormant unless
   // options_.failure_domains.enabled. ------------------------------------
 
-  /// One worker-lifecycle event recorded since a region's last baseline
-  /// capture, replayed after a quarantine restore to bring the region's
-  /// worker table back to the present.
-  struct WorkerEvent {
-    enum class Type { kAdd, kRemove, kAdopt, kExtract };
-    Type type = Type::kAdd;
-    /// Region period at which the event originally applied; replay
-    /// quiet-advances to it before applying.
-    int32_t period = 0;
-    Worker worker;        // kAdd / kAdopt: the base as admitted
-    WorkerId id = -1;     // kRemove / kExtract
-    int32_t next_free = 0;   // kAdopt
-    int32_t retire_at = 0;   // kAdopt
-  };
-
   /// A task parked while its region is quarantined; resubmitted with its
   /// ORIGINAL submission sequence at the region's next close attempt, so
   /// the merge order is a pure function of the submission history.
@@ -176,10 +161,10 @@ class ShardedMarketEngine {
   /// Per-region failure-domain state.
   struct RegionDomain {
     RegionHealth::State state = RegionHealth::State::kNormal;
-    /// Checkpoint blob captured at the region's last healthy close.
-    std::string last_good;
-    /// Worker events since last_good was captured (cleared at capture).
-    std::vector<WorkerEvent> journal;
+    /// The region engine saved just before its latest close attempt:
+    /// exactly the state that close found. A failed close restores it and
+    /// quiet-advances one period.
+    std::string pre_close;
     int attempts = 0;          // recovery attempts consumed
     int backoff = 0;           // periods until the next retry (doubles)
     int32_t next_retry = -1;   // period of the next close attempt
@@ -189,21 +174,14 @@ class ShardedMarketEngine {
   bool failure_domains_enabled() const {
     return options_.failure_domains.enabled;
   }
-  /// Captures every region's baseline once, before the first mutating
-  /// event (post-warmup, pre-traffic); re-armed by RestoreFromCheckpoint.
-  Status EnsureBaseline();
-  /// SaveCheckpoint of region k into last_good; clears its journal.
-  Status CaptureRegionBaseline(int k);
-  void JournalEvent(int k, WorkerEvent event);
-  /// Restores region k from last_good, replays its journal (quiet-advancing
-  /// between event periods), and quiet-advances to period t + 1 so the
-  /// region stays in lockstep while quarantined.
-  Status RewindRegion(int k, int32_t t);
   /// Books a close failure of region k at period t: first failure enters
   /// quarantine (attempt 1, retry next period); a failed retry doubles the
   /// backoff; attempts beyond the budget turn the region kFailed. Always
-  /// rewinds the region state.
+  /// rewinds the region: restores its pre-close snapshot and quiet-advances
+  /// it to period t + 1, in lockstep with the others.
   Status QuarantineRegion(int k, int32_t t);
+  /// Ids of the open-period tasks routed to region k, in submission order.
+  std::vector<TaskId> RoutedTasksInOrder(int k) const;
   /// Moves every open task routed to (inactive) region k into its deferral
   /// queue, bits included, with conservation accounting.
   void DeferRegionTasks(int k);
@@ -239,7 +217,6 @@ class ShardedMarketEngine {
   // Failure-domain state (empty shells when disabled).
   std::vector<RegionDomain> domains_;
   std::vector<std::vector<DeferredTask>> deferred_;
-  bool baseline_captured_ = false;
 
   // Observability handles (DESIGN.md §16), resolved once at construction;
   // all null when options.metrics is null. Region engines share the
@@ -252,7 +229,6 @@ class ShardedMarketEngine {
   obs::Histogram* m_repatriate_ns_ = nullptr;     // wall-clock
   obs::Counter* m_quarantines_ = nullptr;         // deterministic
   obs::Counter* m_rewinds_ = nullptr;             // deterministic
-  obs::Counter* m_journal_replays_ = nullptr;     // deterministic (events)
   obs::Counter* m_backoff_retries_ = nullptr;     // deterministic
   obs::Counter* m_permanent_failures_ = nullptr;  // deterministic
   obs::Counter* m_stitch_matches_ = nullptr;      // deterministic

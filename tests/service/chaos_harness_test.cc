@@ -14,7 +14,9 @@
 //   * faulted runs are bit-identical across thread counts, and
 //   * an UNARMED injector with failure domains enabled is bit-identical
 //     to the pre-§15 engine (failure domains disabled), across pools and
-//     region counts.
+//     region counts, and
+//   * the exact faulted outcomes of a fixed set of plans match pinned
+//     digests, so a rewind that restores the wrong state cannot pass.
 
 #include <cstdint>
 #include <memory>
@@ -52,9 +54,10 @@ struct PeriodScript {
   std::vector<std::pair<TaskId, bool>> accept_bits;
 };
 
-// A scenario that exercises every journaled worker path: boundary-crossing
-// reach discs (stitch dispatch + turnaround migration), multi-period rides
-// (adopt/extract), mid-run sign-ons and sign-offs, explicit accept bits.
+// A scenario that exercises every worker path a rewind must get right:
+// boundary-crossing reach discs (stitch dispatch + turnaround migration),
+// multi-period rides (adopt/extract), mid-run sign-ons and sign-offs,
+// explicit accept bits.
 std::vector<PeriodScript> MakeChaosScript(const GridPartition& grid,
                                           uint64_t seed) {
   Rng rng(seed);
@@ -122,6 +125,7 @@ struct RunTrace {
   std::vector<PeriodOutcome> outcomes;
   int64_t submitted = 0;       // SubmitTask calls that returned OK
   int64_t deferred_at_end = 0; // tasks still parked when the run ended
+  std::vector<int64_t> deferred_after_close;  // queue depth after each close
   std::vector<RegionHealth> final_health;
   EngineRejectionCounters final_rejections;
 };
@@ -169,6 +173,7 @@ RunTrace DriveChaos(const std::vector<PeriodScript>& script,
           << label << ": task " << m.task << " matched twice";
     }
     trace.outcomes.push_back(out);
+    trace.deferred_after_close.push_back(engine->num_deferred_tasks());
   }
   trace.deferred_at_end = engine->num_deferred_tasks();
   for (int k = 0; k < engine->num_regions(); ++k) {
@@ -316,7 +321,7 @@ TEST(ChaosHarnessTest, CloseFailureAtEverySiteRecoversNextPeriod) {
 TEST(ChaosHarnessTest, CloseStallIsQuarantinedAndRewoundLikeAFailure) {
   // A stall is the harder rewind: the region's close RAN (consuming
   // workers, advancing its strategy) before the result was discarded; the
-  // quarantine must restore the pre-close state from the baseline.
+  // quarantine must restore the pre-close snapshot.
   const GridPartition grid =
       GridPartition::Make(Rect{0, 0, 100, 100}, 8, 8).ValueOrDie();
   const std::vector<PeriodScript> script = MakeChaosScript(grid, 20260808);
@@ -405,6 +410,56 @@ TEST(ChaosHarnessTest, FaultedRunsAreBitIdenticalAcrossThreadCounts) {
     ShardedRun run = MakeShardedRun(grid, 2, options);
     const RunTrace got = DriveChaos(script, run.engine.get(), label);
     ExpectTracesBitIdentical(ref, got, label, /*compare_health=*/true);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact faulted outcomes, pinned across commits. The suites above check
+// health sequences, conservation and thread-count identity — a rewind that
+// restored a wrong but self-consistent state would pass all of them. Each
+// digest folds every close's full outcome (quotes, accepted ids, matches,
+// revenue, counters, region health) and the deferral-queue depth after it.
+// A changed digest is a behaviour change of the failure-domain path.
+
+TEST(ChaosHarnessTest, FaultedOutcomeDigestsArePinned) {
+  const GridPartition grid =
+      GridPartition::Make(Rect{0, 0, 100, 100}, 8, 8).ValueOrDie();
+  const std::vector<PeriodScript> script = MakeChaosScript(grid, 20260808);
+  struct Case {
+    const char* plan;
+    int k;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"close_fail@r1p3", 2, 0xd892a165e3014888ULL},
+      {"close_fail@r1p3", 4, 0x5a31c1a400fe8515ULL},
+      {"close_stall@r0p5", 2, 0xc15131fce9804779ULL},
+      {"close_stall@r0p5", 4, 0x6f94b7a4914efe1fULL},
+      {"close_fail@r1", 2, 0x7d8df11001f1f151ULL},
+      {"close_fail@r1", 4, 0xb65bdeed5fde76b5ULL},
+      {"seed=3;close_fail~0.2;close_stall~0.1", 2, 0xd87e4b60e3a75e01ULL},
+      {"seed=3;close_fail~0.2;close_stall~0.1", 4, 0x7588f501a785de47ULL},
+  };
+  for (const Case& c : cases) {
+    const std::string label =
+        std::string(c.plan) + " K=" + std::to_string(c.k);
+    SCOPED_TRACE(label);
+    ScopedFaultPlan plan(c.plan);
+    ShardedRun run = MakeShardedRun(grid, c.k, ChaosOptions(true));
+    const RunTrace trace = DriveChaos(script, run.engine.get(), label);
+    ASSERT_EQ(trace.outcomes.size(), static_cast<size_t>(kPeriods));
+    testing_util::OutcomeDigest digest;
+    bool faulted = false;
+    for (size_t t = 0; t < trace.outcomes.size(); ++t) {
+      digest.AddOutcome(trace.outcomes[t]);
+      digest.Add(static_cast<uint64_t>(trace.deferred_after_close[t]));
+      for (const RegionHealth& h : trace.outcomes[t].region_health) {
+        faulted = faulted || h.state != RegionHealth::State::kNormal;
+      }
+    }
+    EXPECT_TRUE(faulted) << "the plan never fired";
+    EXPECT_EQ(digest.value(), c.digest)
+        << "actual 0x" << std::hex << digest.value();
   }
 }
 

@@ -2,12 +2,14 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "market/market_state.h"
 #include "pricing/strategy.h"
+#include "service/market_engine.h"
 
 namespace maps {
 namespace testing_util {
@@ -81,6 +83,57 @@ class CellLocalStrategy : public PricingStrategy {
  private:
   double base_;
   std::vector<int64_t> counts_;  // accepted tasks observed per cell
+};
+
+/// \brief FNV-1a (64-bit) fold over exact bit patterns, for pinning outcomes
+/// as one number that must not change across commits.
+class OutcomeDigest {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xff;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void AddDouble(double v) { Add(std::bit_cast<uint64_t>(v)); }
+
+  /// Every externally visible field of a close: quotes and revenue by bit
+  /// pattern, accepted ids, matches, counters, and the per-region health.
+  void AddOutcome(const PeriodOutcome& o) {
+    Add(static_cast<uint64_t>(o.period));
+    Add(o.skipped ? 1 : 0);
+    Add(o.prices.size());
+    for (double p : o.prices) AddDouble(p);
+    Add(o.accepted.size());
+    for (TaskId id : o.accepted) Add(static_cast<uint64_t>(id));
+    Add(o.matches.size());
+    for (const MatchRecord& m : o.matches) {
+      Add(static_cast<uint64_t>(m.task));
+      Add(static_cast<uint64_t>(m.worker));
+      AddDouble(m.revenue);
+    }
+    AddDouble(o.revenue);
+    Add(static_cast<uint64_t>(o.num_tasks));
+    Add(static_cast<uint64_t>(o.num_available_workers));
+    const EngineRejectionCounters& r = o.rejections;
+    for (int64_t c : {r.duplicate_tasks, r.unknown_worker_removals,
+                      r.busy_worker_removals, r.orphan_acceptances,
+                      r.deferred_tasks}) {
+      Add(static_cast<uint64_t>(c));
+    }
+    Add(o.region_health.size());
+    for (const RegionHealth& h : o.region_health) {
+      Add(static_cast<uint64_t>(h.region));
+      Add(static_cast<uint64_t>(h.state));
+      Add(static_cast<uint64_t>(h.attempts));
+      Add(static_cast<uint64_t>(h.quarantined_since));
+    }
+  }
+
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ULL;
 };
 
 }  // namespace testing_util
