@@ -3,10 +3,10 @@
 // demand sampling, and a full MAPS pricing round.
 //
 // After the google-benchmark suite runs, main() emits BENCH_micro.json —
-// per-op nanoseconds and peak bytes for the three tracked hot paths
-// (PriceRound, graph build, OracleSearch) — so the perf trajectory across
-// PRs is machine-readable. MAPS_BENCH_SCALE scales the tracked instance
-// sizes (e.g. 0.05 for a CI smoke pass).
+// per-op nanoseconds and peak bytes for the tracked hot paths (PriceRound,
+// graph build, OracleSearch, engine closes, checkpoints, replay parsing) —
+// so the perf trajectory across PRs is machine-readable. MAPS_BENCH_SCALE
+// scales the tracked instance sizes (e.g. 0.05 for a CI smoke pass).
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +18,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <sstream>
 
 #include "graph/bipartite_graph.h"
 #include "graph/hopcroft_karp.h"
@@ -34,7 +35,9 @@
 #include "rng/counter_rng.h"
 #include "rng/random.h"
 #include "service/market_engine.h"
+#include "service/replay_log.h"
 #include "service/sharded_engine.h"
+#include "sim/scenario_fuzzer.h"
 #include "sim/simulator.h"
 #include "sim/synthetic.h"
 #include "util/fault_injector.h"
@@ -414,6 +417,49 @@ double BenchScale() {
   const double v = std::atof(s);
   return v > 0.0 ? v : 1.0;
 }
+
+// Replay ingestion: the churn_storm seed-1 scenario log (every event kind,
+// tiny periods — the shape of the e2e churn_ingest workload) held in
+// memory, its horizon scaled by MAPS_BENCH_SCALE.
+std::string ChurnStormLog() {
+  ScenarioSpec spec;
+  for (const ScenarioSpec& s : DefaultScenarioMatrix()) {
+    if (s.name == "churn_storm") spec = s;
+  }
+  spec.num_periods = std::max(4, static_cast<int>(160 * BenchScale()));
+  std::ostringstream log;
+  if (!WriteScenarioLog(spec, 1, log).ok()) std::abort();
+  return log.str();
+}
+
+/// Streams every event of `log` through ReplayEventStream — the serving
+/// parse path, reusing one line and one field buffer. Returns the event
+/// count; `peak_bytes` (if set) receives the reader's peak footprint.
+int64_t DrainReplayLog(const std::string& log, size_t* peak_bytes = nullptr) {
+  std::istringstream in(log);
+  ReplayEventStream stream(in);
+  ReplayEvent ev;
+  int64_t events = 0;
+  while (true) {
+    auto more = stream.Next(&ev);
+    if (!more.ok()) std::abort();
+    if (!more.ValueOrDie()) break;
+    ++events;
+    if (peak_bytes != nullptr) {
+      *peak_bytes = std::max(*peak_bytes, stream.FootprintBytes());
+    }
+  }
+  benchmark::DoNotOptimize(ev);
+  return events;
+}
+
+void BM_ParseReplayEventLine(benchmark::State& state) {
+  const std::string log = ChurnStormLog();
+  int64_t events = 0;
+  for (auto _ : state) events += DrainReplayLog(log);
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_ParseReplayEventLine);
 
 struct TrackedResult {
   std::string name;
@@ -1104,6 +1150,21 @@ bool EmitTrackedJson(const std::string& path) {
         &restore.iterations);
     restore.peak_bytes = blob.size();
     results.push_back(restore);
+  }
+
+  // Replay ingestion unit cost: ns per event parsed from the in-memory
+  // churn_storm log (getline + scan + field decode). The e2e ledger row
+  // replay_log.ns_per_event measures the same layer inside a full replay.
+  {
+    const std::string log = ChurnStormLog();
+    TrackedResult r;
+    r.name = "replay_parse_event";
+    int64_t events = 0;
+    const double ns_per_pass = TimeOp(
+        [&] { events = DrainReplayLog(log, &r.peak_bytes); }, &r.iterations);
+    r.problem_size = static_cast<int>(events);
+    r.ns_per_op = ns_per_pass / static_cast<double>(events);
+    results.push_back(r);
   }
 
   std::ofstream out(path);

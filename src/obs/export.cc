@@ -58,7 +58,11 @@ void AppendBuckets(const Histogram& h, std::string* out) {
     if (n == 0) continue;
     if (!first) out->push_back(',');
     first = false;
-    *out += "[" + std::to_string(i) + "," + std::to_string(n) + "]";
+    out->push_back('[');
+    *out += std::to_string(i);
+    out->push_back(',');
+    *out += std::to_string(n);
+    out->push_back(']');
   }
   out->push_back(']');
 }

@@ -1,12 +1,13 @@
 #include "service/replay_log.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
-#include <climits>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <map>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -17,21 +18,72 @@ namespace maps {
 
 namespace {
 
+using internal::ReplayField;
+using Fields = std::vector<ReplayField>;
+
+/// The C locale's isspace set, spelled out so scanning never consults the
+/// process locale.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+Status ScanError(std::string_view line, size_t column, std::string_view what) {
+  return Status::InvalidArgument(std::string(what) + " at column " +
+                                 std::to_string(column) + " of: " +
+                                 std::string(line));
+}
+
+Status DuplicateKey(std::string_view line, const ReplayField& repeat) {
+  return ScanError(line, repeat.end,
+                   "duplicate key '" + std::string(repeat.key) + "'");
+}
+
+/// Up to this many keys, the scanner checks each new key against the
+/// earlier ones as it goes (the common, narrow line). A wider line is
+/// checked once, by sorting, so no key count costs quadratic time.
+constexpr size_t kScanCheckedKeys = 16;
+
+/// Reports the first key, in scan order, that repeats an earlier one — at
+/// the column where the scan would have stopped on it — or OK when every
+/// key is distinct. Only lines wider than kScanCheckedKeys need it; it
+/// sorts `fields` by key, and lookups do not depend on their order.
+Status CheckDistinctKeys(std::string_view line, Fields* fields) {
+  if (fields->size() <= kScanCheckedKeys) return Status::OK();
+  std::sort(fields->begin(), fields->end(),
+            [](const ReplayField& a, const ReplayField& b) {
+              const int c = a.key.compare(b.key);
+              return c != 0 ? c < 0 : a.end < b.end;
+            });
+  const ReplayField* first_repeat = nullptr;
+  for (size_t k = 1; k < fields->size(); ++k) {
+    const ReplayField& f = (*fields)[k];
+    if (f.key == (*fields)[k - 1].key &&
+        (first_repeat == nullptr || f.end < first_repeat->end)) {
+      first_repeat = &f;
+    }
+  }
+  if (first_repeat == nullptr) return Status::OK();
+  return DuplicateKey(line, *first_repeat);
+}
+
 /// Minimal flat-JSON-object scanner: {"key": value, ...} where value is a
 /// double-quoted string (no escapes needed by the schema), a number, true,
 /// false, or null. Nested objects/arrays are rejected — the event schema is
-/// flat by design.
-Result<std::map<std::string, std::string>> ParseFlatJson(
-    const std::string& line) {
-  std::map<std::string, std::string> out;
+/// flat by design. Fills `fields` with views into `line`; null and "" both
+/// become empty values. The first error in scan order wins, so a duplicate
+/// key found before a later syntax error is the one reported.
+Status ParseFlatJson(std::string_view line, Fields* fields) {
+  fields->clear();
   size_t i = 0;
   const auto skip_ws = [&] {
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
+    while (i < line.size() && IsSpace(line[i])) ++i;
   };
-  const auto fail = [&](const std::string& what) {
-    return Status::InvalidArgument(what + " at column " + std::to_string(i) +
-                                   " of: " + line);
+  const auto fail = [&](std::string_view what) {
+    MAPS_RETURN_NOT_OK(CheckDistinctKeys(line, fields));
+    return ScanError(line, i, what);
   };
 
   skip_ws();
@@ -45,36 +97,44 @@ Result<std::map<std::string, std::string>> ParseFlatJson(
       skip_ws();
       if (i >= line.size() || line[i] != '"') return fail("expected key");
       const size_t key_end = line.find('"', i + 1);
-      if (key_end == std::string::npos) return fail("unterminated key");
-      const std::string key = line.substr(i + 1, key_end - i - 1);
+      if (key_end == std::string_view::npos) return fail("unterminated key");
+      const std::string_view key = line.substr(i + 1, key_end - i - 1);
       i = key_end + 1;
       skip_ws();
       if (i >= line.size() || line[i] != ':') return fail("expected ':'");
       ++i;
       skip_ws();
-      std::string value;
+      std::string_view value;
       if (i < line.size() && line[i] == '"') {
         const size_t val_end = line.find('"', i + 1);
-        if (val_end == std::string::npos) return fail("unterminated string");
+        if (val_end == std::string_view::npos) {
+          return fail("unterminated string");
+        }
         value = line.substr(i + 1, val_end - i - 1);
         i = val_end + 1;
       } else {
         const size_t start = i;
         while (i < line.size() && line[i] != ',' && line[i] != '}' &&
-               !std::isspace(static_cast<unsigned char>(line[i]))) {
+               !IsSpace(line[i])) {
           ++i;
         }
         value = line.substr(start, i - start);
         if (value.empty()) return fail("expected value");
-        if (value == "null") value.clear();
-        const char c = value.empty() ? '\0' : value[0];
-        if (!value.empty() && c != 't' && c != 'f' && c != '-' &&
-            !std::isdigit(static_cast<unsigned char>(c))) {
-          return fail("unsupported value '" + value + "'");
+        if (value == "null") {
+          value = {};
+        } else if (value[0] != 't' && value[0] != 'f' && value[0] != '-' &&
+                   !IsDigit(value[0])) {
+          return fail("unsupported value '" + std::string(value) + "'");
         }
       }
-      if (out.count(key) > 0) return fail("duplicate key '" + key + "'");
-      out[key] = value;
+      fields->push_back({key, value, i});
+      if (fields->size() <= kScanCheckedKeys) {
+        for (size_t k = 0; k + 1 < fields->size(); ++k) {
+          if ((*fields)[k].key == key) {
+            return DuplicateKey(line, fields->back());
+          }
+        }
+      }
       skip_ws();
       if (i < line.size() && line[i] == ',') {
         ++i;
@@ -87,55 +147,81 @@ Result<std::map<std::string, std::string>> ParseFlatJson(
       return fail("expected ',' or '}'");
     }
   }
+  MAPS_RETURN_NOT_OK(CheckDistinctKeys(line, fields));
   skip_ws();
-  if (i != line.size()) return fail("trailing characters");
-  return out;
+  if (i != line.size()) return ScanError(line, i, "trailing characters");
+  return Status::OK();
 }
 
-using Fields = std::map<std::string, std::string>;
+const ReplayField* FindField(const Fields& f, std::string_view key) {
+  for (const ReplayField& field : f) {
+    if (field.key == key) return &field;
+  }
+  return nullptr;
+}
 
 /// Tri-state field decode: distinguishes an absent (or null) key from a
 /// present but malformed value so errors can name what went wrong.
 enum class Field { kOk, kMissing, kBad };
 
-/// Full-string strtod that additionally rejects NaN and infinity (both
+/// Full-token strtod that additionally rejects NaN and infinity (both
 /// literal "nan"/"inf" spellings and overflowing decimals like 1e999).
-bool ParseFiniteDouble(const std::string& s, double* out) {
+/// std::from_chars decodes the common spellings without copying; both it
+/// and strtod round correctly, so a token it consumes whole gets strtod's
+/// exact bits. Anything else — hex floats, a leading '+' or whitespace in
+/// a quoted value, under- or overflow — goes to strtod on a copy, which
+/// keeps the accepted language and values exactly strtod's.
+bool ParseFiniteDouble(std::string_view s, double* out) {
   if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
+  const char* const last = s.data() + s.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc() || ptr != last) {
+    const std::string copy(s);
+    char* end = nullptr;
+    v = std::strtod(copy.c_str(), &end);
+    if (end != copy.c_str() + copy.size()) return false;
+  }
   if (!std::isfinite(v)) return false;
   *out = v;
   return true;
 }
 
-/// Full-string strtoll: rejects non-integral values ("1.5", "2e3"),
+/// Full-token strtoll: rejects non-integral values ("1.5", "2e3"),
 /// overflow beyond int64, and any trailing junk. Never routes through a
-/// double, so large ids keep every bit.
-bool ParseInt64(const std::string& s, int64_t* out) {
+/// double, so large ids keep every bit. std::from_chars takes what the
+/// scanner admits unquoted; a quoted value may also carry the leading '+'
+/// or whitespace strtoll skips, so those fall back to it on a copy.
+bool ParseInt64(std::string_view s, int64_t* out) {
   if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE) return false;
-  *out = static_cast<int64_t>(v);
+  const char* const last = s.data() + s.size();
+  int64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc() || ptr != last) {
+    const std::string copy(s);
+    errno = 0;
+    char* end = nullptr;
+    const long long w = std::strtoll(copy.c_str(), &end, 10);
+    if (end != copy.c_str() + copy.size() || errno == ERANGE) return false;
+    v = static_cast<int64_t>(w);
+  }
+  *out = v;
   return true;
 }
 
-Field GetFiniteDouble(const Fields& f, const std::string& key, double* out) {
-  const auto it = f.find(key);
-  if (it == f.end() || it->second.empty()) return Field::kMissing;
-  return ParseFiniteDouble(it->second, out) ? Field::kOk : Field::kBad;
+Field GetFiniteDouble(const Fields& f, std::string_view key, double* out) {
+  const ReplayField* field = FindField(f, key);
+  if (field == nullptr || field->value.empty()) return Field::kMissing;
+  return ParseFiniteDouble(field->value, out) ? Field::kOk : Field::kBad;
 }
 
-Field GetInt64(const Fields& f, const std::string& key, int64_t* out) {
-  const auto it = f.find(key);
-  if (it == f.end() || it->second.empty()) return Field::kMissing;
-  return ParseInt64(it->second, out) ? Field::kOk : Field::kBad;
+Field GetInt64(const Fields& f, std::string_view key, int64_t* out) {
+  const ReplayField* field = FindField(f, key);
+  if (field == nullptr || field->value.empty()) return Field::kMissing;
+  return ParseInt64(field->value, out) ? Field::kOk : Field::kBad;
 }
 
-Field GetInt32(const Fields& f, const std::string& key, int32_t* out) {
+Field GetInt32(const Fields& f, std::string_view key, int32_t* out) {
   int64_t v = 0;
   const Field r = GetInt64(f, key, &v);
   if (r != Field::kOk) return r;
@@ -147,35 +233,37 @@ Field GetInt32(const Fields& f, const std::string& key, int32_t* out) {
   return Field::kOk;
 }
 
-Field GetBool(const Fields& f, const std::string& key, bool* out) {
-  const auto it = f.find(key);
-  if (it == f.end() || it->second.empty()) return Field::kMissing;
-  if (it->second == "true" || it->second == "1") {
+Field GetBool(const Fields& f, std::string_view key, bool* out) {
+  const ReplayField* field = FindField(f, key);
+  if (field == nullptr || field->value.empty()) return Field::kMissing;
+  if (field->value == "true" || field->value == "1") {
     *out = true;
     return Field::kOk;
   }
-  if (it->second == "false" || it->second == "0") {
+  if (field->value == "false" || field->value == "0") {
     *out = false;
     return Field::kOk;
   }
   return Field::kBad;
 }
 
-Status BadField(const Fields& f, const std::string& event,
-                const std::string& key, const char* expect) {
-  return Status::InvalidArgument(event + " event field '" + key +
-                                 "' must be " + expect + ", got '" +
-                                 f.at(key) + "'");
+Status BadField(const Fields& f, std::string_view event, std::string_view key,
+                const char* expect) {
+  return Status::InvalidArgument(
+      std::string(event) + " event field '" + std::string(key) +
+      "' must be " + expect + ", got '" +
+      std::string(FindField(f, key)->value) + "'");
 }
 
 /// Maps a required field's decode result to OK or an error naming the
 /// event, the field, and (for malformed values) the rejected text.
-Status RequireField(Field r, const Fields& f, const std::string& event,
-                    const std::string& key, const char* expect) {
+Status RequireField(Field r, const Fields& f, std::string_view event,
+                    std::string_view key, const char* expect) {
   if (r == Field::kOk) return Status::OK();
   if (r == Field::kMissing) {
-    return Status::InvalidArgument(event + " event is missing required field '" +
-                                   key + "' (" + expect + ")");
+    return Status::InvalidArgument(std::string(event) +
+                                   " event is missing required field '" +
+                                   std::string(key) + "' (" + expect + ")");
   }
   return BadField(f, event, key, expect);
 }
@@ -184,25 +272,27 @@ Status RequireField(Field r, const Fields& f, const std::string& event,
 /// whether the value was decoded. A present-but-malformed value still
 /// fails — optional fields are not a license for garbage.
 Status OptionalField(Field r, bool* present, const Fields& f,
-                     const std::string& event, const std::string& key,
+                     std::string_view event, std::string_view key,
                      const char* expect) {
   *present = r == Field::kOk;
   if (r == Field::kBad) return BadField(f, event, key, expect);
   return Status::OK();
 }
 
-}  // namespace
+/// ParseReplayEventLine with a caller-owned field buffer: no heap
+/// allocation once `fields` has grown to the widest line's key count,
+/// unless the line fails (error text) or a number takes the strtod/strtoll
+/// fallback with a token too long for the small-string buffer.
+Result<ReplayEvent> ParseEventLine(std::string_view line, Fields* fields) {
+  MAPS_RETURN_NOT_OK(ParseFlatJson(line, fields));
+  const Fields& f = *fields;
 
-Result<ReplayEvent> ParseReplayEventLine(const std::string& line) {
-  auto fields_or = ParseFlatJson(line);
-  MAPS_RETURN_NOT_OK(fields_or.status());
-  const Fields& f = std::move(fields_or).ValueOrDie();
-
-  const auto kind_it = f.find("event");
-  if (kind_it == f.end()) {
-    return Status::InvalidArgument("missing \"event\" field: " + line);
+  const ReplayField* kind_field = FindField(f, "event");
+  if (kind_field == nullptr) {
+    return Status::InvalidArgument("missing \"event\" field: " +
+                                   std::string(line));
   }
-  const std::string& kind = kind_it->second;
+  const std::string_view kind = kind_field->value;
   constexpr const char* kInt = "a 64-bit integer";
   constexpr const char* kInt32 = "a 32-bit integer";
   constexpr const char* kNum = "a finite number";
@@ -276,7 +366,15 @@ Result<ReplayEvent> ParseReplayEventLine(const std::string& line) {
     ev.kind = ReplayEvent::Kind::kClosePeriod;
     return ev;
   }
-  return Status::InvalidArgument("unknown event kind '" + kind + "'");
+  return Status::InvalidArgument("unknown event kind '" + std::string(kind) +
+                                 "'");
+}
+
+}  // namespace
+
+Result<ReplayEvent> ParseReplayEventLine(const std::string& line) {
+  Fields fields;
+  return ParseEventLine(line, &fields);
 }
 
 ReplayEventStream::ReplayEventStream(std::istream& in,
@@ -312,12 +410,9 @@ Result<bool> ReplayEventStream::Next(ReplayEvent* out) {
                               std::to_string(lineno_));
     }
     size_t first = 0;
-    while (first < line_.size() &&
-           std::isspace(static_cast<unsigned char>(line_[first]))) {
-      ++first;
-    }
+    while (first < line_.size() && IsSpace(line_[first])) ++first;
     if (first == line_.size() || line_[first] == '#') continue;
-    auto ev = ParseReplayEventLine(line_);
+    auto ev = ParseEventLine(line_, &fields_);
     if (!ev.ok()) {
       if (options_.skip_bad_events) {
         ++stats_.lines_skipped;

@@ -16,8 +16,10 @@
 
 #pragma once
 
+#include <cstddef>
 #include <istream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "market/task.h"
@@ -44,7 +46,8 @@ struct ReplayEvent {
   /// kSubmitTask: id/origin/destination/distance (distance may be 0 =
   /// derive); grid left unset for the driver.
   Task task;
-  /// kSubmitTask: hidden valuation, NaN when the file omitted it.
+  /// kSubmitTask: hidden valuation; 0.0 with has_valuation = false when
+  /// the file omitted it.
   double valuation = 0.0;
   bool has_valuation = false;
   /// kAddWorker: id/location/radius/duration; grid left unset.
@@ -61,7 +64,22 @@ struct ReplayEvent {
 /// must parse fully as in-range integers — non-integral, overflowing, NaN,
 /// or infinite values are rejected, never cast — and coordinate/valuation
 /// fields must be finite. Every rejection names the offending field.
+/// Decoding a decimal number does not depend on the process locale: it goes
+/// through std::from_chars. Only spellings from_chars does not take (hex
+/// floats, a leading '+' or whitespace inside a quoted value, under- or
+/// overflow) fall back to strtod/strtoll.
 Result<ReplayEvent> ParseReplayEventLine(const std::string& line);
+
+namespace internal {
+
+/// One `"key": value` pair of a scanned event line, as views into the line.
+struct ReplayField {
+  std::string_view key;
+  std::string_view value;  ///< empty for null and ""
+  size_t end = 0;          ///< column just past the value (error text)
+};
+
+}  // namespace internal
 
 /// \brief Tuning knobs for LoadReplayLog.
 struct ReplayLoadOptions {
@@ -107,9 +125,13 @@ class ReplayEventStream {
   /// 1-based number of the last line read (0 before the first read).
   int64_t line_number() const { return lineno_; }
 
-  /// Heap footprint of the reader itself — the line buffer — demonstrating
-  /// O(1) ingestion memory.
-  size_t FootprintBytes() const { return line_.capacity(); }
+  /// Heap footprint of the reader itself — the line buffer plus the
+  /// field-view buffer the parser reuses — demonstrating O(1) ingestion
+  /// memory.
+  size_t FootprintBytes() const {
+    return line_.capacity() +
+           fields_.capacity() * sizeof(internal::ReplayField);
+  }
 
   /// Resolves "ingest.*" counters from `registry` (no-op when null): lines
   /// read, bytes read, events parsed, lines skipped. All deterministic —
@@ -122,6 +144,8 @@ class ReplayEventStream {
   ReplayLoadOptions options_;
   ReplayLoadStats stats_;
   std::string line_;
+  /// Views into line_, valid only while one line is being parsed.
+  std::vector<internal::ReplayField> fields_;
   int64_t lineno_ = 0;
   bool done_ = false;
   obs::Counter* m_lines_ = nullptr;

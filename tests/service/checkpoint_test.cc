@@ -555,7 +555,7 @@ TEST(CheckpointRotationTest, KeepsTheNewestNByNumber) {
   for (const int period : {2, 9, 10, 11, 3}) {
     ASSERT_TRUE(WriteCheckpointFile(
                     dir + "/checkpoint_" + std::to_string(period) + ".ckpt",
-                    "p" + std::to_string(period))
+                    std::string("p") + std::to_string(period))
                     .ok());
   }
   // A non-matching bystander survives any pruning.

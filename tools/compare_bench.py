@@ -53,6 +53,9 @@ DEFAULT_KEYS = [
     # cost of one Histogram::Record on the instrumented hot path.
     "engine_period_metrics_on",
     "obs_histogram_record",
+    # Replay ingestion: ns per event streamed through ReplayEventStream
+    # from an in-memory churn_storm log (the e2e replay_log layer).
+    "replay_parse_event",
 ]
 
 # Same-file overhead gates: (numerator_key, baseline_key, max_ratio).
