@@ -22,7 +22,6 @@
 
 #include "graph/bipartite_graph.h"
 #include "graph/hopcroft_karp.h"
-#include "graph/kuhn.h"
 #include "graph/max_weight_matching.h"
 #include "graph/possible_worlds.h"
 #include "market/demand_model.h"
@@ -57,16 +56,6 @@ BipartiteGraph MakeRandomGraph(int nl, int nr, double density,
   }
   return BipartiteGraph::FromEdges(nl, nr, std::move(edges));
 }
-
-void BM_KuhnMatching(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const BipartiteGraph g = MakeRandomGraph(n, n, 8.0 / n, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KuhnMatching(g).size);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_KuhnMatching)->Range(64, 4096)->Complexity();
 
 void BM_HopcroftKarp(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -1106,24 +1095,38 @@ bool EmitTrackedJson(const std::string& path) {
     }
     EngineOptions engine_options;
     engine_options.lifecycle = w.lifecycle;
-    MarketEngine engine(&w.grid, &strategy, engine_options);
-    size_t task_i = 0;
-    size_t worker_j = 0;
-    PeriodOutcome outcome;
-    for (int32_t t = 0; t < w.num_periods; ++t) {
-      while (task_i < w.tasks.size() && w.tasks[task_i].period == t) {
-        if (!engine.SubmitTask(w.tasks[task_i], w.valuations[task_i]).ok()) {
-          std::abort();
+    // Feeds the workload's events to `engine`, closing every period; with
+    // `leave_last_open` the last period's tasks and workers arrive, every
+    // fourth task gets an explicit acceptance bit, and the period stays
+    // open.
+    const auto drive = [&w](auto* engine, bool leave_last_open) {
+      size_t task_i = 0;
+      size_t worker_j = 0;
+      PeriodOutcome outcome;
+      for (int32_t t = 0; t < w.num_periods; ++t) {
+        const bool last = t + 1 == w.num_periods;
+        while (task_i < w.tasks.size() && w.tasks[task_i].period == t) {
+          const Task& task = w.tasks[task_i];
+          if (!engine->SubmitTask(task, w.valuations[task_i]).ok()) {
+            std::abort();
+          }
+          if (last && leave_last_open && task_i % 4 == 0 &&
+              !engine->ObserveAcceptance(task.id, true).ok()) {
+            std::abort();
+          }
+          ++task_i;
         }
-        ++task_i;
+        while (worker_j < w.workers.size() &&
+               w.workers[worker_j].period == t) {
+          if (!engine->AddWorker(w.workers[worker_j]).ok()) std::abort();
+          ++worker_j;
+        }
+        if (last && leave_last_open) break;
+        if (!engine->ClosePeriod(&outcome).ok()) std::abort();
       }
-      while (worker_j < w.workers.size() &&
-             w.workers[worker_j].period == t) {
-        if (!engine.AddWorker(w.workers[worker_j]).ok()) std::abort();
-        ++worker_j;
-      }
-      if (!engine.ClosePeriod(&outcome).ok()) std::abort();
-    }
+    };
+    MarketEngine engine(&w.grid, &strategy, engine_options);
+    drive(&engine, /*leave_last_open=*/false);
 
     std::string blob;
     TrackedResult save;
@@ -1150,6 +1153,50 @@ bool EmitTrackedJson(const std::string& path) {
         &restore.iterations);
     restore.peak_bytes = blob.size();
     results.push_back(restore);
+
+    // The same workload on a K=2 sharded deployment, saved mid-period so
+    // the routing section's task routes and acceptance bits are populated
+    // next to the worker owner table and the two embedded region blobs.
+    const RegionPartition partition =
+        RegionPartition::Make(w.grid, 2).ValueOrDie();
+    std::vector<std::unique_ptr<Maps>> owned;
+    std::vector<PricingStrategy*> warmed;
+    std::vector<PricingStrategy*> unwarmed;
+    for (int k = 0; k < partition.num_regions(); ++k) {
+      owned.push_back(std::make_unique<Maps>(mopts));
+      DemandOracle region_history = w.oracle.Fork(9);
+      if (!owned.back()->Warmup(w.grid, &region_history).ok()) std::abort();
+      warmed.push_back(owned.back().get());
+      owned.push_back(std::make_unique<Maps>(mopts));
+      unwarmed.push_back(owned.back().get());
+    }
+    ShardedMarketEngine sharded(&w.grid, &partition, warmed, engine_options);
+    drive(&sharded, /*leave_last_open=*/true);
+
+    TrackedResult sharded_save;
+    sharded_save.name = "sharded_checkpoint_save";
+    sharded_save.problem_size = cfg.num_workers;
+    sharded_save.ns_per_op = TimeOp(
+        [&] {
+          blob.clear();
+          if (!sharded.SaveCheckpoint(&blob).ok()) std::abort();
+        },
+        &sharded_save.iterations);
+    sharded_save.peak_bytes = blob.size();
+    results.push_back(sharded_save);
+
+    ShardedMarketEngine sharded_target(&w.grid, &partition, unwarmed,
+                                       engine_options);
+    TrackedResult sharded_restore;
+    sharded_restore.name = "sharded_checkpoint_restore";
+    sharded_restore.problem_size = cfg.num_workers;
+    sharded_restore.ns_per_op = TimeOp(
+        [&] {
+          if (!sharded_target.RestoreFromCheckpoint(blob).ok()) std::abort();
+        },
+        &sharded_restore.iterations);
+    sharded_restore.peak_bytes = blob.size();
+    results.push_back(sharded_restore);
   }
 
   // Replay ingestion unit cost: ns per event parsed from the in-memory

@@ -1,6 +1,6 @@
 // Hopcroft-Karp maximum-cardinality bipartite matching: O(E * sqrt(V)).
-// Used on the large instances (scalability sweeps) where Kuhn's O(V*E)
-// would dominate the simulation loop.
+// Used on the large instances (scalability sweeps) where a simple
+// augmenting-path search's O(V*E) would dominate the simulation loop.
 
 #pragma once
 

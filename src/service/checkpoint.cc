@@ -42,7 +42,6 @@ enum SectionId : uint32_t {
   kSectionStrategy = 7,  // PricingStrategy::SaveState payload
 };
 
-
 }  // namespace
 
 namespace internal {
@@ -115,6 +114,150 @@ Status ParseCheckpointContainer(const std::string& data, const char* magic,
     (*payloads)[i] = std::move(payload);
   }
   return r.ExpectEnd((name + " container").c_str());
+}
+
+void PutGridFingerprint(const GridPartition& grid, StateWriter* w) {
+  w->PutI32(grid.rows());
+  w->PutI32(grid.cols());
+  const Rect& region = grid.region();
+  w->PutDouble(region.min_x);
+  w->PutDouble(region.min_y);
+  w->PutDouble(region.max_x);
+  w->PutDouble(region.max_y);
+}
+
+Status CheckGridFingerprint(const GridPartition& grid, StateReader* r) {
+  int32_t rows, cols;
+  double min_x, min_y, max_x, max_y;
+  MAPS_RETURN_NOT_OK(r->GetI32(&rows, "grid rows"));
+  MAPS_RETURN_NOT_OK(r->GetI32(&cols, "grid cols"));
+  MAPS_RETURN_NOT_OK(r->GetDouble(&min_x, "region min_x"));
+  MAPS_RETURN_NOT_OK(r->GetDouble(&min_y, "region min_y"));
+  MAPS_RETURN_NOT_OK(r->GetDouble(&max_x, "region max_x"));
+  MAPS_RETURN_NOT_OK(r->GetDouble(&max_y, "region max_y"));
+  const Rect& region = grid.region();
+  if (rows != grid.rows() || cols != grid.cols() || min_x != region.min_x ||
+      min_y != region.min_y || max_x != region.max_x ||
+      max_y != region.max_y) {
+    return Status::FailedPrecondition(
+        "checkpoint grid fingerprint (" + std::to_string(rows) + "x" +
+        std::to_string(cols) + ") does not match this engine's partition (" +
+        std::to_string(grid.rows()) + "x" + std::to_string(grid.cols()) +
+        ")");
+  }
+  return Status::OK();
+}
+
+void PutLifecycleFingerprint(const WorkerLifecycle& lifecycle,
+                             StateWriter* w) {
+  w->PutBool(lifecycle.single_use);
+  w->PutDouble(lifecycle.speed);
+  w->PutDouble(lifecycle.reposition_prob);
+  w->PutU64(lifecycle.reposition_seed);
+}
+
+Status CheckLifecycleFingerprint(const WorkerLifecycle& lifecycle,
+                                 StateReader* r) {
+  bool single_use;
+  double speed, reposition_prob;
+  uint64_t reposition_seed;
+  MAPS_RETURN_NOT_OK(r->GetBool(&single_use, "lifecycle single_use"));
+  MAPS_RETURN_NOT_OK(r->GetDouble(&speed, "lifecycle speed"));
+  MAPS_RETURN_NOT_OK(
+      r->GetDouble(&reposition_prob, "lifecycle reposition_prob"));
+  MAPS_RETURN_NOT_OK(r->GetU64(&reposition_seed, "lifecycle reposition_seed"));
+  if (single_use != lifecycle.single_use || speed != lifecycle.speed ||
+      reposition_prob != lifecycle.reposition_prob ||
+      reposition_seed != lifecycle.reposition_seed) {
+    return Status::FailedPrecondition(
+        "checkpoint worker-lifecycle fingerprint does not match this "
+        "engine's options");
+  }
+  return Status::OK();
+}
+
+void PutTask(const Task& task, StateWriter* w) {
+  w->PutI64(task.id);
+  w->PutI32(task.period);
+  w->PutDouble(task.origin.x);
+  w->PutDouble(task.origin.y);
+  w->PutDouble(task.destination.x);
+  w->PutDouble(task.destination.y);
+  w->PutDouble(task.distance);
+  w->PutI32(task.grid);
+}
+
+Status GetTask(const GridPartition& grid, StateReader* r, Task* task) {
+  MAPS_RETURN_NOT_OK(r->GetI64(&task->id, "task id"));
+  MAPS_RETURN_NOT_OK(r->GetI32(&task->period, "task period"));
+  MAPS_RETURN_NOT_OK(r->GetDouble(&task->origin.x, "task origin x"));
+  MAPS_RETURN_NOT_OK(r->GetDouble(&task->origin.y, "task origin y"));
+  MAPS_RETURN_NOT_OK(
+      r->GetDouble(&task->destination.x, "task destination x"));
+  MAPS_RETURN_NOT_OK(
+      r->GetDouble(&task->destination.y, "task destination y"));
+  MAPS_RETURN_NOT_OK(r->GetDouble(&task->distance, "task distance"));
+  MAPS_RETURN_NOT_OK(r->GetI32(&task->grid, "task grid"));
+  if (task->grid < 0 || task->grid >= grid.num_cells()) {
+    return Status::InvalidArgument(
+        "task " + std::to_string(task->id) + " has grid " +
+        std::to_string(task->grid) + " outside the partition");
+  }
+  return Status::OK();
+}
+
+void PutAcceptanceBits(const std::unordered_map<TaskId, bool>& bits,
+                       StateWriter* w) {
+  std::vector<std::pair<TaskId, bool>> sorted(bits.begin(), bits.end());
+  std::sort(sorted.begin(), sorted.end());
+  w->PutU64(sorted.size());
+  for (const auto& [task, accepted] : sorted) {
+    w->PutI64(task);
+    w->PutBool(accepted);
+  }
+}
+
+Status GetAcceptanceBits(StateReader* r,
+                         std::unordered_map<TaskId, bool>* bits) {
+  uint64_t n;
+  MAPS_RETURN_NOT_OK(r->GetU64(&n, "pending bit count"));
+  MAPS_RETURN_NOT_OK(CheckDecodedCount(*r, n, 9, "pending bits"));
+  bits->reserve(static_cast<size_t>(n));
+  for (uint64_t i = 0; i < n; ++i) {
+    TaskId task;
+    bool accepted;
+    MAPS_RETURN_NOT_OK(r->GetI64(&task, "pending task id"));
+    MAPS_RETURN_NOT_OK(r->GetBool(&accepted, "pending accepted bit"));
+    if (!bits->emplace(task, accepted).second) {
+      return Status::InvalidArgument("pending bit for task " +
+                                     std::to_string(task) + " appears twice");
+    }
+  }
+  return Status::OK();
+}
+
+void PutRejectionCounters(const EngineRejectionCounters& counters,
+                          StateWriter* w) {
+  w->PutI64(counters.duplicate_tasks);
+  w->PutI64(counters.unknown_worker_removals);
+  w->PutI64(counters.busy_worker_removals);
+  w->PutI64(counters.orphan_acceptances);
+}
+
+Status GetRejectionCounters(StateReader* r,
+                            EngineRejectionCounters* counters) {
+  MAPS_RETURN_NOT_OK(r->GetI64(&counters->duplicate_tasks, "duplicate_tasks"));
+  MAPS_RETURN_NOT_OK(r->GetI64(&counters->unknown_worker_removals,
+                               "unknown_worker_removals"));
+  MAPS_RETURN_NOT_OK(
+      r->GetI64(&counters->busy_worker_removals, "busy_worker_removals"));
+  MAPS_RETURN_NOT_OK(
+      r->GetI64(&counters->orphan_acceptances, "orphan_acceptances"));
+  if (counters->duplicate_tasks < 0 || counters->unknown_worker_removals < 0 ||
+      counters->busy_worker_removals < 0 || counters->orphan_acceptances < 0) {
+    return Status::InvalidArgument("negative rejection counter");
+  }
+  return Status::OK();
 }
 
 }  // namespace internal
@@ -270,25 +413,13 @@ Status MarketEngine::SaveCheckpoint(std::string* out) {
   DrainPrebuilds();
 
   StateWriter config;
-  config.PutI32(grid_->rows());
-  config.PutI32(grid_->cols());
-  const Rect& region = grid_->region();
-  config.PutDouble(region.min_x);
-  config.PutDouble(region.min_y);
-  config.PutDouble(region.max_x);
-  config.PutDouble(region.max_y);
-  config.PutBool(options_.lifecycle.single_use);
-  config.PutDouble(options_.lifecycle.speed);
-  config.PutDouble(options_.lifecycle.reposition_prob);
-  config.PutU64(options_.lifecycle.reposition_seed);
+  internal::PutGridFingerprint(*grid_, &config);
+  internal::PutLifecycleFingerprint(options_.lifecycle, &config);
   config.PutString(strategy_->name());
 
   StateWriter core;
   core.PutI32(period_);
-  core.PutI64(rejections_.duplicate_tasks);
-  core.PutI64(rejections_.unknown_worker_removals);
-  core.PutI64(rejections_.busy_worker_removals);
-  core.PutI64(rejections_.orphan_acceptances);
+  internal::PutRejectionCounters(rejections_, &core);
 
   StateWriter workers;
   workers.PutU64(workers_.size());
@@ -328,29 +459,13 @@ Status MarketEngine::SaveCheckpoint(std::string* out) {
   for (const Stage& stage : stages_) {
     stage_w.PutBool(stage.sealed);
     stage_w.PutU64(stage.tasks.size());
-    for (const Task& task : stage.tasks) {
-      stage_w.PutI64(task.id);
-      stage_w.PutI32(task.period);
-      stage_w.PutDouble(task.origin.x);
-      stage_w.PutDouble(task.origin.y);
-      stage_w.PutDouble(task.destination.x);
-      stage_w.PutDouble(task.destination.y);
-      stage_w.PutDouble(task.distance);
-      stage_w.PutI32(task.grid);
-    }
+    for (const Task& task : stage.tasks) internal::PutTask(task, &stage_w);
     // Aligned with tasks by the SubmitTask/StageNextPeriodTasks contract.
     for (double v : stage.valuations) stage_w.PutDouble(v);
   }
 
   StateWriter pending;
-  std::vector<std::pair<TaskId, bool>> bits(pending_accept_.begin(),
-                                            pending_accept_.end());
-  std::sort(bits.begin(), bits.end());  // map order is not deterministic
-  pending.PutU64(bits.size());
-  for (const auto& [task, accepted] : bits) {
-    pending.PutI64(task);
-    pending.PutBool(accepted);
-  }
+  internal::PutAcceptanceBits(pending_accept_, &pending);
 
   StateWriter rng;
   for (uint64_t word : reposition_rng_.SaveState()) rng.PutU64(word);
@@ -394,41 +509,9 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
 
   {  // Config fingerprint: the target must be configured like the saver.
     StateReader r(sections[kSectionConfig - 1]);
-    int32_t rows, cols;
-    double min_x, min_y, max_x, max_y;
-    MAPS_RETURN_NOT_OK(r.GetI32(&rows, "grid rows"));
-    MAPS_RETURN_NOT_OK(r.GetI32(&cols, "grid cols"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&min_x, "region min_x"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&min_y, "region min_y"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&max_x, "region max_x"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&max_y, "region max_y"));
-    const Rect& region = grid_->region();
-    if (rows != grid_->rows() || cols != grid_->cols() ||
-        min_x != region.min_x || min_y != region.min_y ||
-        max_x != region.max_x || max_y != region.max_y) {
-      return Status::FailedPrecondition(
-          "checkpoint grid fingerprint (" + std::to_string(rows) + "x" +
-          std::to_string(cols) + ") does not match this engine's partition (" +
-          std::to_string(grid_->rows()) + "x" + std::to_string(grid_->cols()) +
-          ")");
-    }
-    bool single_use;
-    double speed, reposition_prob;
-    uint64_t reposition_seed;
-    MAPS_RETURN_NOT_OK(r.GetBool(&single_use, "lifecycle single_use"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&speed, "lifecycle speed"));
+    MAPS_RETURN_NOT_OK(internal::CheckGridFingerprint(*grid_, &r));
     MAPS_RETURN_NOT_OK(
-        r.GetDouble(&reposition_prob, "lifecycle reposition_prob"));
-    MAPS_RETURN_NOT_OK(
-        r.GetU64(&reposition_seed, "lifecycle reposition_seed"));
-    const WorkerLifecycle& lc = options_.lifecycle;
-    if (single_use != lc.single_use || speed != lc.speed ||
-        reposition_prob != lc.reposition_prob ||
-        reposition_seed != lc.reposition_seed) {
-      return Status::FailedPrecondition(
-          "checkpoint worker-lifecycle fingerprint does not match this "
-          "engine's options");
-    }
+        internal::CheckLifecycleFingerprint(options_.lifecycle, &r));
     std::string name;
     MAPS_RETURN_NOT_OK(r.GetString(&name, "strategy name"));
     if (name != strategy_->name()) {
@@ -444,19 +527,11 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   {  // Engine core.
     StateReader r(sections[kSectionCore - 1]);
     MAPS_RETURN_NOT_OK(r.GetI32(&period, "period counter"));
-    MAPS_RETURN_NOT_OK(r.GetI64(&rej.duplicate_tasks, "duplicate_tasks"));
-    MAPS_RETURN_NOT_OK(
-        r.GetI64(&rej.unknown_worker_removals, "unknown_worker_removals"));
-    MAPS_RETURN_NOT_OK(
-        r.GetI64(&rej.busy_worker_removals, "busy_worker_removals"));
-    MAPS_RETURN_NOT_OK(
-        r.GetI64(&rej.orphan_acceptances, "orphan_acceptances"));
-    if (period < 0 || rej.duplicate_tasks < 0 ||
-        rej.unknown_worker_removals < 0 || rej.busy_worker_removals < 0 ||
-        rej.orphan_acceptances < 0) {
-      return Status::InvalidArgument(
-          "engine core section has negative counters");
+    if (period < 0) {
+      return Status::InvalidArgument("engine core section has a negative "
+                                     "period counter");
     }
+    MAPS_RETURN_NOT_OK(internal::GetRejectionCounters(&r, &rej));
     MAPS_RETURN_NOT_OK(r.ExpectEnd("engine core section"));
   }
 
@@ -550,21 +625,7 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
       stage.tasks.resize(static_cast<size_t>(n));
       stage.ids.reserve(stage.tasks.size());
       for (Task& task : stage.tasks) {
-        MAPS_RETURN_NOT_OK(r.GetI64(&task.id, "task id"));
-        MAPS_RETURN_NOT_OK(r.GetI32(&task.period, "task period"));
-        MAPS_RETURN_NOT_OK(r.GetDouble(&task.origin.x, "task origin x"));
-        MAPS_RETURN_NOT_OK(r.GetDouble(&task.origin.y, "task origin y"));
-        MAPS_RETURN_NOT_OK(
-            r.GetDouble(&task.destination.x, "task destination x"));
-        MAPS_RETURN_NOT_OK(
-            r.GetDouble(&task.destination.y, "task destination y"));
-        MAPS_RETURN_NOT_OK(r.GetDouble(&task.distance, "task distance"));
-        MAPS_RETURN_NOT_OK(r.GetI32(&task.grid, "task grid"));
-        if (task.grid < 0 || task.grid >= grid_->num_cells()) {
-          return Status::InvalidArgument(
-              "staged task " + std::to_string(task.id) + " has grid " +
-              std::to_string(task.grid) + " outside the partition");
-        }
+        MAPS_RETURN_NOT_OK(internal::GetTask(*grid_, &r, &task));
         if (!stage.ids.insert(task.id).second) {
           return Status::InvalidArgument(
               "staged task id " + std::to_string(task.id) +
@@ -582,21 +643,7 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   std::unordered_map<TaskId, bool> pending;
   {  // Pending acceptance bits.
     StateReader r(sections[kSectionPending - 1]);
-    uint64_t n;
-    MAPS_RETURN_NOT_OK(r.GetU64(&n, "pending bit count"));
-    MAPS_RETURN_NOT_OK(CheckDecodedCount(r, n, 9, "pending bits"));
-    pending.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-      TaskId task;
-      bool accepted;
-      MAPS_RETURN_NOT_OK(r.GetI64(&task, "pending task id"));
-      MAPS_RETURN_NOT_OK(r.GetBool(&accepted, "pending accepted bit"));
-      if (!pending.emplace(task, accepted).second) {
-        return Status::InvalidArgument(
-            "pending bit for task " + std::to_string(task) +
-            " appears twice");
-      }
-    }
+    MAPS_RETURN_NOT_OK(internal::GetAcceptanceBits(&r, &pending));
     MAPS_RETURN_NOT_OK(r.ExpectEnd("pending section"));
   }
 
@@ -624,20 +671,7 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   // the jump between pre-restore and checkpoint values so the registry
   // keeps equal to the (possibly multi-engine) sum of the struct counters
   // after a rewind (DESIGN.md §16).
-  const auto sync_mirror = [](int64_t before, int64_t after,
-                              obs::Counter* mirror) {
-    if (mirror != nullptr && after != before) mirror->Add(after - before);
-  };
-  sync_mirror(rejections_.duplicate_tasks, rej.duplicate_tasks,
-              m_reject_.duplicate_tasks);
-  sync_mirror(rejections_.unknown_worker_removals, rej.unknown_worker_removals,
-              m_reject_.unknown_worker_removals);
-  sync_mirror(rejections_.busy_worker_removals, rej.busy_worker_removals,
-              m_reject_.busy_worker_removals);
-  sync_mirror(rejections_.orphan_acceptances, rej.orphan_acceptances,
-              m_reject_.orphan_acceptances);
-  sync_mirror(rejections_.deferred_tasks, rej.deferred_tasks,
-              m_reject_.deferred_tasks);
+  m_reject_.Resync(rejections_, rej);
   period_ = period;
   rejections_ = rej;
   workers_ = std::move(workers);

@@ -22,12 +22,18 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "geo/grid.h"
+#include "market/task.h"
+#include "market/worker.h"
 #include "util/serial.h"
 #include "util/status.h"
 
 namespace maps {
+
+struct EngineRejectionCounters;
 
 /// First bytes of every single-engine checkpoint file.
 inline constexpr char kCheckpointMagic[8] = {'M', 'A', 'P', 'S',
@@ -70,6 +76,40 @@ Status ParseCheckpointContainer(const std::string& data, const char* magic,
                                 uint32_t version, uint32_t num_sections,
                                 const char* what,
                                 std::vector<std::string>* payloads);
+
+// Record codecs shared by MarketEngine and ShardedMarketEngine, so each
+// record's layout (docs/checkpoint_format.md) and checks exist once.
+// Decoders reject corrupt bytes with InvalidArgument; the Check* functions
+// reject a differently configured engine with FailedPrecondition.
+
+/// Grid rows, cols and region rectangle.
+void PutGridFingerprint(const GridPartition& grid, StateWriter* w);
+Status CheckGridFingerprint(const GridPartition& grid, StateReader* r);
+
+/// Worker lifecycle: single_use, speed, reposition prob and seed.
+void PutLifecycleFingerprint(const WorkerLifecycle& lifecycle,
+                             StateWriter* w);
+Status CheckLifecycleFingerprint(const WorkerLifecycle& lifecycle,
+                                 StateReader* r);
+
+/// One 56-byte task; GetTask rejects a grid cell outside `grid`.
+void PutTask(const Task& task, StateWriter* w);
+Status GetTask(const GridPartition& grid, StateReader* r, Task* task);
+
+/// Acceptance bits in ascending task id order; the decoder rejects a
+/// repeated id.
+void PutAcceptanceBits(const std::unordered_map<TaskId, bool>& bits,
+                       StateWriter* w);
+Status GetAcceptanceBits(StateReader* r,
+                         std::unordered_map<TaskId, bool>* bits);
+
+/// The four format-1 rejection counters (deferred_tasks is stored only by
+/// the sharded routing section, right after them); the decoder rejects
+/// negative values.
+void PutRejectionCounters(const EngineRejectionCounters& counters,
+                          StateWriter* w);
+Status GetRejectionCounters(StateReader* r,
+                            EngineRejectionCounters* counters);
 
 }  // namespace internal
 

@@ -52,6 +52,22 @@ void RejectionCounterHandles::Resolve(obs::MetricsRegistry* registry) {
   deferred_tasks = registry->GetCounter("engine.reject.deferred_tasks", det);
 }
 
+void RejectionCounterHandles::Resync(
+    const EngineRejectionCounters& before,
+    const EngineRejectionCounters& after) const {
+  const auto sync = [](obs::Counter* mirror, int64_t from, int64_t to) {
+    if (mirror != nullptr && to != from) mirror->Add(to - from);
+  };
+  sync(duplicate_tasks, before.duplicate_tasks, after.duplicate_tasks);
+  sync(unknown_worker_removals, before.unknown_worker_removals,
+       after.unknown_worker_removals);
+  sync(busy_worker_removals, before.busy_worker_removals,
+       after.busy_worker_removals);
+  sync(orphan_acceptances, before.orphan_acceptances,
+       after.orphan_acceptances);
+  sync(deferred_tasks, before.deferred_tasks, after.deferred_tasks);
+}
+
 MarketEngine::MarketEngine(const GridPartition* grid,
                            PricingStrategy* strategy,
                            const EngineOptions& options)
@@ -169,27 +185,35 @@ Status MarketEngine::StageNextPeriodTasks(const Task* begin, const Task* end,
   return Status::OK();
 }
 
-Status MarketEngine::AddWorker(const Worker& worker) {
-  if (worker_index_.count(worker.id) > 0) {
-    return Status::AlreadyExists("worker id " + std::to_string(worker.id) +
+Status MarketEngine::AppendWorker(const Worker& base, int32_t next_free,
+                                  int32_t retire_at, int* idx) {
+  if (HasWorker(base.id)) {
+    return Status::AlreadyExists("worker id " + std::to_string(base.id) +
                                  " already admitted");
   }
   WorkerRecord rec;
-  rec.base = worker;
+  rec.base = base;
   if (rec.base.grid < 0) rec.base.grid = grid_->CellOf(rec.base.location);
   if (rec.base.grid < 0 || rec.base.grid >= grid_->num_cells()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker.id) +
+    return Status::InvalidArgument("worker " + std::to_string(base.id) +
                                    " outside the partition");
   }
-  rec.next_free = period_;
-  rec.retire_at = worker.duration == Worker::kUnlimitedDuration
-                      ? std::numeric_limits<int32_t>::max()
-                      : period_ + worker.duration;
-  const int idx = static_cast<int>(workers_.size());
+  rec.next_free = next_free;
+  rec.retire_at = retire_at;
+  *idx = static_cast<int>(workers_.size());
   workers_.push_back(rec);
   matched_flag_.push_back(0);
+  worker_index_[base.id] = *idx;
+  return Status::OK();
+}
+
+Status MarketEngine::AddWorker(const Worker& worker) {
+  const int32_t retire_at = worker.duration == Worker::kUnlimitedDuration
+                                ? std::numeric_limits<int32_t>::max()
+                                : period_ + worker.duration;
+  int idx;
+  MAPS_RETURN_NOT_OK(AppendWorker(worker, period_, retire_at, &idx));
   idle_.push_back(idx);
-  worker_index_[worker.id] = idx;
   return Status::OK();
 }
 
@@ -245,43 +269,41 @@ void MarketEngine::CollectIdleWorkers(std::vector<Worker>* out) const {
   }
 }
 
-Status MarketEngine::ConsumeIdleWorker(WorkerId id) {
-  auto it = worker_index_.find(id);
+Status MarketEngine::FindStitchableWorker(WorkerId id, int* idx) const {
+  const auto it = worker_index_.find(id);
   if (it == worker_index_.end()) {
     return Status::NotFound("worker id " + std::to_string(id) +
                             " is unknown to this engine");
   }
-  WorkerRecord& rec = workers_[it->second];
+  const WorkerRecord& rec = workers_[it->second];
   if (rec.consumed) return NotStitchable(id, "was already consumed");
   if (rec.retire_at < period_) return NotStitchable(id, "has retired");
   if (rec.next_free >= period_) {
     return NotStitchable(id, "was not idle at the last close");
   }
+  *idx = it->second;
+  return Status::OK();
+}
+
+Status MarketEngine::ConsumeIdleWorker(WorkerId id) {
+  int idx;
+  MAPS_RETURN_NOT_OK(FindStitchableWorker(id, &idx));
   // The idle list drops consumed records at the next availability scan.
-  rec.consumed = true;
+  workers_[idx].consumed = true;
   return Status::OK();
 }
 
 Status MarketEngine::DispatchIdleWorker(WorkerId id, const Point& destination,
                                         int32_t next_free) {
-  auto it = worker_index_.find(id);
-  if (it == worker_index_.end()) {
-    return Status::NotFound("worker id " + std::to_string(id) +
-                            " is unknown to this engine");
-  }
-  if (next_free < period_) {
+  if (HasWorker(id) && next_free < period_) {
     return Status::InvalidArgument(
         "dispatch of worker " + std::to_string(id) + " ends at period " +
         std::to_string(next_free) + ", before the open period " +
         std::to_string(period_));
   }
-  const int idx = it->second;
+  int idx;
+  MAPS_RETURN_NOT_OK(FindStitchableWorker(id, &idx));
   WorkerRecord& rec = workers_[idx];
-  if (rec.consumed) return NotStitchable(id, "was already consumed");
-  if (rec.retire_at < period_) return NotStitchable(id, "has retired");
-  if (rec.next_free >= period_) {
-    return NotStitchable(id, "was not idle at the last close");
-  }
   idle_.erase(std::find(idle_.begin(), idle_.end(), idx));
   rec.base.location = destination;
   rec.base.grid = grid_->CellOf(destination);
@@ -292,18 +314,9 @@ Status MarketEngine::DispatchIdleWorker(WorkerId id, const Point& destination,
 
 Status MarketEngine::ExtractIdleWorker(WorkerId id, Worker* base,
                                        int32_t* retire_at) {
-  auto it = worker_index_.find(id);
-  if (it == worker_index_.end()) {
-    return Status::NotFound("worker id " + std::to_string(id) +
-                            " is unknown to this engine");
-  }
-  const int idx = it->second;
+  int idx;
+  MAPS_RETURN_NOT_OK(FindStitchableWorker(id, &idx));
   WorkerRecord& rec = workers_[idx];
-  if (rec.consumed) return NotStitchable(id, "was already consumed");
-  if (rec.retire_at < period_) return NotStitchable(id, "has retired");
-  if (rec.next_free >= period_) {
-    return NotStitchable(id, "was not idle at the last close");
-  }
   *base = rec.base;
   *retire_at = rec.retire_at;
   // Tombstone: the record stays (indices into workers_ are stable) but the
@@ -311,28 +324,14 @@ Status MarketEngine::ExtractIdleWorker(WorkerId id, Worker* base,
   // re-adopted here later under the same id.
   rec.consumed = true;
   idle_.erase(std::find(idle_.begin(), idle_.end(), idx));
-  worker_index_.erase(it);
+  worker_index_.erase(id);
   return Status::OK();
 }
 
 Status MarketEngine::AdoptWorker(const Worker& base, int32_t next_free,
                                  int32_t retire_at) {
-  if (worker_index_.count(base.id) > 0) {
-    return Status::AlreadyExists("worker id " + std::to_string(base.id) +
-                                 " already admitted");
-  }
-  WorkerRecord rec;
-  rec.base = base;
-  if (rec.base.grid < 0) rec.base.grid = grid_->CellOf(rec.base.location);
-  if (rec.base.grid < 0 || rec.base.grid >= grid_->num_cells()) {
-    return Status::InvalidArgument("worker " + std::to_string(base.id) +
-                                   " outside the partition");
-  }
-  rec.next_free = next_free;
-  rec.retire_at = retire_at;
-  const int idx = static_cast<int>(workers_.size());
-  workers_.push_back(rec);
-  matched_flag_.push_back(0);
+  int idx;
+  MAPS_RETURN_NOT_OK(AppendWorker(base, next_free, retire_at, &idx));
   // Still riding (or freed exactly at the open period): the busy heap
   // returns it at the close of period next_free; already free: offer it at
   // the open period's close.
@@ -341,7 +340,6 @@ Status MarketEngine::AdoptWorker(const Worker& base, int32_t next_free,
   } else {
     idle_.push_back(idx);
   }
-  worker_index_[base.id] = idx;
   return Status::OK();
 }
 
@@ -359,6 +357,10 @@ void MarketEngine::AdvanceQuietPeriod() {
   pending_accept_.clear();
   stages_[t & 1].Clear();
   ++period_;
+}
+
+void MarketEngine::CollectWorkerIds(std::vector<WorkerId>* out) const {
+  for (const auto& [id, idx] : worker_index_) out->push_back(id);
 }
 
 int64_t MarketEngine::num_live_workers() const {

@@ -152,12 +152,15 @@ struct EngineRejectionCounters {
   /// silently dropped.
   int64_t deferred_tasks = 0;
 
-  bool operator==(const EngineRejectionCounters& o) const {
-    return duplicate_tasks == o.duplicate_tasks &&
-           unknown_worker_removals == o.unknown_worker_removals &&
-           busy_worker_removals == o.busy_worker_removals &&
-           orphan_acceptances == o.orphan_acceptances &&
-           deferred_tasks == o.deferred_tasks;
+  bool operator==(const EngineRejectionCounters&) const = default;
+
+  EngineRejectionCounters& operator+=(const EngineRejectionCounters& o) {
+    duplicate_tasks += o.duplicate_tasks;
+    unknown_worker_removals += o.unknown_worker_removals;
+    busy_worker_removals += o.busy_worker_removals;
+    orphan_acceptances += o.orphan_acceptances;
+    deferred_tasks += o.deferred_tasks;
+    return *this;
   }
 };
 
@@ -177,6 +180,13 @@ struct RejectionCounterHandles {
   /// the monolithic and sharded engines resolve the SAME names, so the
   /// registry totals match ShardedMarketEngine::rejections()'s merge.
   void Resolve(obs::MetricsRegistry* registry);
+
+  /// Re-syncs the mirrors after a checkpoint restore replaced the struct
+  /// counters `before` with `after`: each counter absorbs the jump, so the
+  /// registry stays equal to the (possibly multi-engine) sum of the struct
+  /// counters (DESIGN.md §16). No-op when unresolved.
+  void Resync(const EngineRejectionCounters& before,
+              const EngineRejectionCounters& after) const;
 };
 
 /// \brief Per-region serving health reported in a sharded PeriodOutcome
@@ -367,6 +377,14 @@ class MarketEngine {
   /// pure function of the checkpoint.
   void AdvanceQuietPeriod();
 
+  /// Whether this engine indexes `id`: from AddWorker / AdoptWorker until
+  /// ExtractIdleWorker, through retirement, consumption and RemoveWorker.
+  /// A sharded deployment's regions index disjoint ids.
+  bool HasWorker(WorkerId id) const { return worker_index_.count(id) > 0; }
+
+  /// Appends every id HasWorker() accepts, in unspecified order.
+  void CollectWorkerIds(std::vector<WorkerId>* out) const;
+
   /// Cumulative rejected/ignored event counters (also in every
   /// PeriodOutcome).
   const EngineRejectionCounters& rejections() const { return rejections_; }
@@ -411,6 +429,13 @@ class MarketEngine {
   };
 
   Status CheckTaskGrids(const Task* begin, const Task* end) const;
+  /// Appends and indexes a worker record (the shared half of AddWorker and
+  /// AdoptWorker, which place it on the idle list or busy heap).
+  Status AppendWorker(const Worker& base, int32_t next_free,
+                      int32_t retire_at, int* idx);
+  /// Index of the worker a sharded-serving hook may act on (see the hooks'
+  /// eligibility rule), or NotFound / FailedPrecondition.
+  Status FindStitchableWorker(WorkerId id, int* idx) const;
   void DrainPrebuilds();
 
   const GridPartition* grid_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -57,9 +56,9 @@ ShardedMarketEngine::ShardedMarketEngine(
     // Region engines run serially inside: the lent pool parallelizes
     // ACROSS regions only, which keeps every region close bit-identical to
     // its serial self and the whole close trivially race-free.
+    // (Without a pool, MarketEngine also turns pipelining off.)
     EngineOptions region_options = options_;
     region_options.pool = nullptr;
-    region_options.pipeline_periods = false;
     // Regions inherit the registry (order-independent counter sums) but
     // never the trace: concurrent region closes would interleave seq ids.
     region_options.trace = nullptr;
@@ -133,8 +132,15 @@ Status ShardedMarketEngine::SubmitTask(const Task& task, double valuation) {
   return Status::OK();
 }
 
+int ShardedMarketEngine::RegionOfWorker(WorkerId id) const {
+  for (int k = 0; k < num_regions(); ++k) {
+    if (regions_[k]->HasWorker(id)) return k;
+  }
+  return -1;
+}
+
 Status ShardedMarketEngine::AddWorker(const Worker& worker) {
-  if (worker_region_.count(worker.id) > 0) {
+  if (RegionOfWorker(worker.id) >= 0) {
     return Status::AlreadyExists("worker id " + std::to_string(worker.id) +
                                  " already admitted");
   }
@@ -144,21 +150,18 @@ Status ShardedMarketEngine::AddWorker(const Worker& worker) {
     return Status::InvalidArgument("worker " + std::to_string(worker.id) +
                                    " outside the partition");
   }
-  const int region = owner_of_cell_[w.grid];
-  MAPS_RETURN_NOT_OK(regions_[region]->AddWorker(w));
-  worker_region_[w.id] = region;
-  return Status::OK();
+  return regions_[owner_of_cell_[w.grid]]->AddWorker(w);
 }
 
 Status ShardedMarketEngine::RemoveWorker(WorkerId id) {
-  const auto it = worker_region_.find(id);
-  if (it == worker_region_.end()) {
+  const int region = RegionOfWorker(id);
+  if (region < 0) {
     obs::BumpMirrored(&local_rejections_.unknown_worker_removals,
                       m_reject_.unknown_worker_removals);
     return Status::NotFound("worker id " + std::to_string(id) +
                             " was never added");
   }
-  return regions_[it->second]->RemoveWorker(id);
+  return regions_[region]->RemoveWorker(id);
 }
 
 Status ShardedMarketEngine::ObserveAcceptance(TaskId task, bool accepted) {
@@ -207,35 +210,36 @@ Status ShardedMarketEngine::QuarantineRegion(int k, int32_t t) {
   return Status::OK();
 }
 
-std::vector<TaskId> ShardedMarketEngine::RoutedTasksInOrder(int k) const {
-  std::vector<std::pair<int64_t, TaskId>> order;
+std::vector<const ShardedMarketEngine::TaskRoute*>
+ShardedMarketEngine::RoutesInOrder(int k) const {
+  std::vector<const TaskRoute*> routes;
   for (const auto& [id, route] : task_route_) {
-    if (route.region == k) order.push_back({route.seq, id});
+    if (k < 0 || route.region == k) routes.push_back(&route);
   }
-  std::sort(order.begin(), order.end());
-  std::vector<TaskId> ids;
-  ids.reserve(order.size());
-  for (const auto& [seq, id] : order) ids.push_back(id);
-  return ids;
+  std::sort(routes.begin(), routes.end(),
+            [](const TaskRoute* a, const TaskRoute* b) {
+              return a->seq < b->seq;
+            });
+  return routes;
 }
 
 void ShardedMarketEngine::DeferRegionTasks(int k) {
   // Sweep the open routes of an inactive region into its deferral queue in
   // submission order; acceptance bits ride along. Existing queue entries
   // carry strictly smaller seqs, so the queue stays seq-sorted.
-  for (TaskId id : RoutedTasksInOrder(k)) {
-    const TaskRoute& route = task_route_.find(id)->second;
+  for (const TaskRoute* route : RoutesInOrder(k)) {
+    const TaskId id = route->task.id;
     DeferredTask d;
-    d.seq = route.seq;
-    d.task = route.task;
-    d.valuation = route.valuation;
+    d.seq = route->seq;
+    d.task = route->task;
+    d.valuation = route->valuation;
     const auto bit = pending_accept_.find(id);
     if (bit != pending_accept_.end()) {
       d.has_accept = true;
       d.accept = bit->second;
     }
     deferred_[k].push_back(std::move(d));
-    task_route_.erase(id);
+    task_route_.erase(id);  // frees *route, which is not used again
     obs::BumpMirrored(&local_rejections_.deferred_tasks,
                       m_reject_.deferred_tasks);
   }
@@ -263,9 +267,8 @@ Status ShardedMarketEngine::ResubmitDeferred(int k) {
   // Nothing routed to this region was forwarded while it was quarantined;
   // forward everything now, in submission order so the region's stage
   // reads like an uninterrupted submission stream.
-  for (TaskId id : RoutedTasksInOrder(k)) {
-    const TaskRoute& route = task_route_.find(id)->second;
-    MAPS_RETURN_NOT_OK(regions_[k]->SubmitTask(route.task, route.valuation));
+  for (const TaskRoute* route : RoutesInOrder(k)) {
+    MAPS_RETURN_NOT_OK(regions_[k]->SubmitTask(route->task, route->valuation));
   }
   return Status::OK();
 }
@@ -563,7 +566,6 @@ Status ShardedMarketEngine::StitchBoundary(int32_t t, PeriodOutcome* out) {
       base.grid = dest_grid;
       MAPS_RETURN_NOT_OK(
           regions_[dest_region]->AdoptWorker(base, next_free, retire_at));
-      worker_region_[cw.w.id] = dest_region;
     }
   }
   return Status::OK();
@@ -593,7 +595,6 @@ Status ShardedMarketEngine::RepatriateIdleWorkers(int32_t t) {
       // Already free (next_free <= t): the owner offers it from the next
       // close on, exactly when the old region would have.
       MAPS_RETURN_NOT_OK(regions_[owner]->AdoptWorker(base, t, retire_at));
-      worker_region_[w.id] = owner;
       if (m_repatriations_ != nullptr) m_repatriations_->Increment();
     }
   }
@@ -688,11 +689,7 @@ Status ShardedMarketEngine::ClosePeriod(PeriodOutcome* out) {
     out->region_health.resize(num_regions);
     for (int k = 0; k < num_regions; ++k) {
       RegionDomain& dom = domains_[k];
-      RegionHealth& health = out->region_health[k];
-      health.region = k;
-      health.state = dom.state;
-      health.attempts = dom.attempts;
-      health.quarantined_since = dom.quarantined_since;
+      const RegionHealth& health = out->region_health[k] = region_health(k);
       // One kRegionHealth event per region per close, emitted on this
       // serial path in region order — the nightly chaos drill replays the
       // trace against PeriodOutcome::region_health and expects exact
@@ -725,27 +722,28 @@ Status ShardedMarketEngine::ClosePeriod(PeriodOutcome* out) {
   return Status::OK();
 }
 
+std::vector<std::pair<WorkerId, int>> ShardedMarketEngine::WorkerOwners()
+    const {
+  std::vector<std::pair<WorkerId, int>> owners;
+  std::vector<WorkerId> ids;
+  for (int k = 0; k < num_regions(); ++k) {
+    ids.clear();
+    regions_[k]->CollectWorkerIds(&ids);
+    for (WorkerId id : ids) owners.push_back({id, k});
+  }
+  std::sort(owners.begin(), owners.end());
+  return owners;
+}
+
 EngineRejectionCounters ShardedMarketEngine::rejections() const {
   EngineRejectionCounters total = local_rejections_;
-  for (const auto& region : regions_) {
-    const EngineRejectionCounters& r = region->rejections();
-    total.duplicate_tasks += r.duplicate_tasks;
-    total.unknown_worker_removals += r.unknown_worker_removals;
-    total.busy_worker_removals += r.busy_worker_removals;
-    total.orphan_acceptances += r.orphan_acceptances;
-    total.deferred_tasks += r.deferred_tasks;
-  }
+  for (const auto& region : regions_) total += region->rejections();
   return total;
 }
 
 RegionHealth ShardedMarketEngine::region_health(int k) const {
   const RegionDomain& dom = domains_[k];
-  RegionHealth health;
-  health.region = k;
-  health.state = dom.state;
-  health.attempts = dom.attempts;
-  health.quarantined_since = dom.quarantined_since;
-  return health;
+  return RegionHealth{k, dom.state, dom.attempts, dom.quarantined_since};
 }
 
 int64_t ShardedMarketEngine::num_deferred_tasks() const {
@@ -805,73 +803,33 @@ Status ShardedMarketEngine::SaveCheckpoint(std::string* out) {
   }
 
   StateWriter part;
-  part.PutI32(grid_->rows());
-  part.PutI32(grid_->cols());
-  const Rect& region_rect = grid_->region();
-  part.PutDouble(region_rect.min_x);
-  part.PutDouble(region_rect.min_y);
-  part.PutDouble(region_rect.max_x);
-  part.PutDouble(region_rect.max_y);
+  internal::PutGridFingerprint(*grid_, &part);
   part.PutI32(num_regions);
   for (int k = 0; k < num_regions; ++k) {
     part.PutI32(partition_->row_begin(k));
   }
-  part.PutBool(options_.lifecycle.single_use);
-  part.PutDouble(options_.lifecycle.speed);
-  part.PutDouble(options_.lifecycle.reposition_prob);
-  part.PutU64(options_.lifecycle.reposition_seed);
+  internal::PutLifecycleFingerprint(options_.lifecycle, &part);
 
   StateWriter routing;
   routing.PutI32(period_);
-  routing.PutI64(local_rejections_.duplicate_tasks);
-  routing.PutI64(local_rejections_.unknown_worker_removals);
-  routing.PutI64(local_rejections_.busy_worker_removals);
-  routing.PutI64(local_rejections_.orphan_acceptances);
+  internal::PutRejectionCounters(local_rejections_, &routing);
   routing.PutI64(local_rejections_.deferred_tasks);  // v2
   routing.PutI64(next_seq_);
-  {
-    std::vector<std::pair<WorkerId, int>> owners(worker_region_.begin(),
-                                                 worker_region_.end());
-    std::sort(owners.begin(), owners.end());  // map order is not stable
-    routing.PutU64(owners.size());
-    for (const auto& [id, k] : owners) {
-      routing.PutI64(id);
-      routing.PutI32(k);
-    }
+  const std::vector<std::pair<WorkerId, int>> owners = WorkerOwners();
+  routing.PutU64(owners.size());
+  for (const auto& [id, k] : owners) {
+    routing.PutI64(id);
+    routing.PutI32(k);
   }
-  {
-    std::vector<const TaskRoute*> routes;
-    routes.reserve(task_route_.size());
-    for (const auto& [id, route] : task_route_) routes.push_back(&route);
-    std::sort(routes.begin(), routes.end(),
-              [](const TaskRoute* a, const TaskRoute* b) {
-                return a->seq < b->seq;
-              });
-    routing.PutU64(routes.size());
-    for (const TaskRoute* route : routes) {
-      routing.PutI64(route->seq);
-      routing.PutI32(route->region);
-      routing.PutI64(route->task.id);
-      routing.PutI32(route->task.period);
-      routing.PutDouble(route->task.origin.x);
-      routing.PutDouble(route->task.origin.y);
-      routing.PutDouble(route->task.destination.x);
-      routing.PutDouble(route->task.destination.y);
-      routing.PutDouble(route->task.distance);
-      routing.PutI32(route->task.grid);
-      routing.PutDouble(route->valuation);  // v2
-    }
+  const std::vector<const TaskRoute*> routes = RoutesInOrder(/*k=*/-1);
+  routing.PutU64(routes.size());
+  for (const TaskRoute* route : routes) {
+    routing.PutI64(route->seq);
+    routing.PutI32(route->region);
+    internal::PutTask(route->task, &routing);
+    routing.PutDouble(route->valuation);  // v2
   }
-  {
-    std::vector<std::pair<TaskId, bool>> bits(pending_accept_.begin(),
-                                              pending_accept_.end());
-    std::sort(bits.begin(), bits.end());
-    routing.PutU64(bits.size());
-    for (const auto& [task, accepted] : bits) {
-      routing.PutI64(task);
-      routing.PutBool(accepted);
-    }
-  }
+  internal::PutAcceptanceBits(pending_accept_, &routing);
   for (const std::vector<double>& prices : region_prices_) {
     routing.PutU64(prices.size());
     for (double p : prices) routing.PutDouble(p);
@@ -912,24 +870,7 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
 
   {  // Partition fingerprint: grid, band layout, K, lifecycle.
     StateReader r(sections[kShardedSectionPartition - 1]);
-    int32_t rows, cols;
-    double min_x, min_y, max_x, max_y;
-    MAPS_RETURN_NOT_OK(r.GetI32(&rows, "grid rows"));
-    MAPS_RETURN_NOT_OK(r.GetI32(&cols, "grid cols"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&min_x, "region min_x"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&min_y, "region min_y"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&max_x, "region max_x"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&max_y, "region max_y"));
-    const Rect& rect = grid_->region();
-    if (rows != grid_->rows() || cols != grid_->cols() ||
-        min_x != rect.min_x || min_y != rect.min_y || max_x != rect.max_x ||
-        max_y != rect.max_y) {
-      return Status::FailedPrecondition(
-          "checkpoint grid fingerprint (" + std::to_string(rows) + "x" +
-          std::to_string(cols) + ") does not match this engine's partition (" +
-          std::to_string(grid_->rows()) + "x" + std::to_string(grid_->cols()) +
-          ")");
-    }
+    MAPS_RETURN_NOT_OK(internal::CheckGridFingerprint(*grid_, &r));
     int32_t k_saved;
     MAPS_RETURN_NOT_OK(r.GetI32(&k_saved, "region count"));
     if (k_saved != num_regions) {
@@ -948,59 +889,34 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
             std::to_string(partition_->row_begin(k)));
       }
     }
-    bool single_use;
-    double speed, reposition_prob;
-    uint64_t reposition_seed;
-    MAPS_RETURN_NOT_OK(r.GetBool(&single_use, "lifecycle single_use"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&speed, "lifecycle speed"));
     MAPS_RETURN_NOT_OK(
-        r.GetDouble(&reposition_prob, "lifecycle reposition_prob"));
-    MAPS_RETURN_NOT_OK(
-        r.GetU64(&reposition_seed, "lifecycle reposition_seed"));
-    const WorkerLifecycle& lc = options_.lifecycle;
-    if (single_use != lc.single_use || speed != lc.speed ||
-        reposition_prob != lc.reposition_prob ||
-        reposition_seed != lc.reposition_seed) {
-      return Status::FailedPrecondition(
-          "checkpoint worker-lifecycle fingerprint does not match this "
-          "engine's options");
-    }
+        internal::CheckLifecycleFingerprint(options_.lifecycle, &r));
     MAPS_RETURN_NOT_OK(r.ExpectEnd("sharded partition section"));
   }
 
   int32_t period;
   EngineRejectionCounters rej;
   int64_t next_seq;
-  std::unordered_map<WorkerId, int> worker_region;
+  std::vector<std::pair<WorkerId, int>> owners;
   std::unordered_map<TaskId, TaskRoute> task_route;
   std::unordered_map<TaskId, bool> pending;
   std::vector<std::vector<double>> region_prices;
   {  // Routing state.
     StateReader r(sections[kShardedSectionRouting - 1]);
     MAPS_RETURN_NOT_OK(r.GetI32(&period, "period counter"));
-    MAPS_RETURN_NOT_OK(r.GetI64(&rej.duplicate_tasks, "duplicate_tasks"));
-    MAPS_RETURN_NOT_OK(
-        r.GetI64(&rej.unknown_worker_removals, "unknown_worker_removals"));
-    MAPS_RETURN_NOT_OK(
-        r.GetI64(&rej.busy_worker_removals, "busy_worker_removals"));
-    MAPS_RETURN_NOT_OK(
-        r.GetI64(&rej.orphan_acceptances, "orphan_acceptances"));
+    MAPS_RETURN_NOT_OK(internal::GetRejectionCounters(&r, &rej));
     MAPS_RETURN_NOT_OK(r.GetI64(&rej.deferred_tasks, "deferred_tasks"));
     MAPS_RETURN_NOT_OK(r.GetI64(&next_seq, "next submission seq"));
-    if (period < 0 || rej.duplicate_tasks < 0 ||
-        rej.unknown_worker_removals < 0 || rej.busy_worker_removals < 0 ||
-        rej.orphan_acceptances < 0 || rej.deferred_tasks < 0 ||
-        next_seq < 0) {
+    if (period < 0 || rej.deferred_tasks < 0 || next_seq < 0) {
       return Status::InvalidArgument(
           "sharded routing section has negative counters");
     }
     uint64_t n;
     MAPS_RETURN_NOT_OK(r.GetU64(&n, "worker owner count"));
     MAPS_RETURN_NOT_OK(CheckDecodedCount(r, n, 12, "worker owners"));
-    worker_region.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-      WorkerId id;
-      int32_t k;
+    owners.resize(static_cast<size_t>(n));
+    for (size_t i = 0; i < owners.size(); ++i) {
+      auto& [id, k] = owners[i];
       MAPS_RETURN_NOT_OK(r.GetI64(&id, "worker owner id"));
       MAPS_RETURN_NOT_OK(r.GetI32(&k, "worker owner region"));
       if (k < 0 || k >= num_regions) {
@@ -1008,9 +924,11 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
                                        " owned by out-of-range region " +
                                        std::to_string(k));
       }
-      if (!worker_region.emplace(id, k).second) {
-        return Status::InvalidArgument("worker id " + std::to_string(id) +
-                                       " appears twice in the owner table");
+      // Saved in ascending id order, so a repeat shows up as a non-increase.
+      if (i > 0 && id <= owners[i - 1].first) {
+        return Status::InvalidArgument(
+            "worker id " + std::to_string(id) +
+            " repeated or out of order in the owner table");
       }
     }
     MAPS_RETURN_NOT_OK(r.GetU64(&n, "task route count"));
@@ -1020,26 +938,12 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
       TaskRoute route;
       MAPS_RETURN_NOT_OK(r.GetI64(&route.seq, "route seq"));
       MAPS_RETURN_NOT_OK(r.GetI32(&route.region, "route region"));
-      MAPS_RETURN_NOT_OK(r.GetI64(&route.task.id, "route task id"));
-      MAPS_RETURN_NOT_OK(r.GetI32(&route.task.period, "route task period"));
-      MAPS_RETURN_NOT_OK(r.GetDouble(&route.task.origin.x, "route origin x"));
-      MAPS_RETURN_NOT_OK(r.GetDouble(&route.task.origin.y, "route origin y"));
-      MAPS_RETURN_NOT_OK(
-          r.GetDouble(&route.task.destination.x, "route destination x"));
-      MAPS_RETURN_NOT_OK(
-          r.GetDouble(&route.task.destination.y, "route destination y"));
-      MAPS_RETURN_NOT_OK(r.GetDouble(&route.task.distance, "route distance"));
-      MAPS_RETURN_NOT_OK(r.GetI32(&route.task.grid, "route task grid"));
+      MAPS_RETURN_NOT_OK(internal::GetTask(*grid_, &r, &route.task));
       MAPS_RETURN_NOT_OK(r.GetDouble(&route.valuation, "route valuation"));
       if (route.region < 0 || route.region >= num_regions) {
         return Status::InvalidArgument(
             "task " + std::to_string(route.task.id) +
             " routed to out-of-range region " + std::to_string(route.region));
-      }
-      if (route.task.grid < 0 || route.task.grid >= grid_->num_cells()) {
-        return Status::InvalidArgument(
-            "routed task " + std::to_string(route.task.id) + " has grid " +
-            std::to_string(route.task.grid) + " outside the partition");
       }
       if (route.seq < 0 || route.seq >= next_seq) {
         return Status::InvalidArgument(
@@ -1053,20 +957,7 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
                                        " appears twice in the route table");
       }
     }
-    MAPS_RETURN_NOT_OK(r.GetU64(&n, "pending bit count"));
-    MAPS_RETURN_NOT_OK(CheckDecodedCount(r, n, 9, "pending bits"));
-    pending.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-      TaskId task;
-      bool accepted;
-      MAPS_RETURN_NOT_OK(r.GetI64(&task, "pending task id"));
-      MAPS_RETURN_NOT_OK(r.GetBool(&accepted, "pending accepted bit"));
-      if (!pending.emplace(task, accepted).second) {
-        return Status::InvalidArgument("pending bit for task " +
-                                       std::to_string(task) +
-                                       " appears twice");
-      }
-    }
+    MAPS_RETURN_NOT_OK(internal::GetAcceptanceBits(&r, &pending));
     region_prices.resize(num_regions);
     for (int k = 0; k < num_regions; ++k) {
       MAPS_RETURN_NOT_OK(r.GetU64(&n, "cached price count"));
@@ -1130,27 +1021,22 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
     }
   }
 
+  // The owner table is derived state: the restored regions' worker indices
+  // must reproduce it exactly. A mismatch fails here, after the regions
+  // were restored — the same partial-restore caveat as a semantic mismatch
+  // inside a region's restore above.
+  if (owners != WorkerOwners()) {
+    return Status::InvalidArgument(
+        "worker owner table disagrees with the restored regions");
+  }
+
   // Commit this layer. Nothing below can fail. As in the monolith's
   // restore, the mirrored registry counters absorb the jump so the registry
   // stays equal to the summed struct counters (DESIGN.md §16).
-  const auto sync_mirror = [](int64_t before, int64_t after,
-                              obs::Counter* mirror) {
-    if (mirror != nullptr && after != before) mirror->Add(after - before);
-  };
-  sync_mirror(local_rejections_.duplicate_tasks, rej.duplicate_tasks,
-              m_reject_.duplicate_tasks);
-  sync_mirror(local_rejections_.unknown_worker_removals,
-              rej.unknown_worker_removals, m_reject_.unknown_worker_removals);
-  sync_mirror(local_rejections_.busy_worker_removals, rej.busy_worker_removals,
-              m_reject_.busy_worker_removals);
-  sync_mirror(local_rejections_.orphan_acceptances, rej.orphan_acceptances,
-              m_reject_.orphan_acceptances);
-  sync_mirror(local_rejections_.deferred_tasks, rej.deferred_tasks,
-              m_reject_.deferred_tasks);
+  m_reject_.Resync(local_rejections_, rej);
   period_ = period;
   next_seq_ = next_seq;
   local_rejections_ = rej;
-  worker_region_ = std::move(worker_region);
   task_route_ = std::move(task_route);
   pending_accept_ = std::move(pending);
   region_prices_ = std::move(region_prices);

@@ -5,8 +5,10 @@
 // the sharded engine is a thin router in front of them:
 //
 //   * SubmitTask routes by the task's origin cell; AddWorker by the
-//     worker's location cell; RemoveWorker / ObserveAcceptance by the
-//     routing tables this layer maintains.
+//     worker's location cell; ObserveAcceptance by this layer's per-period
+//     task routes. RemoveWorker goes to the region that holds the worker:
+//     the regions' own worker indices are the only record of placement
+//     (they hold disjoint id sets; migration moves an id between them).
 //   * ClosePeriod closes all K regions — concurrently when a pool was
 //     lent, the regions share no mutable state — then merges the per-region
 //     outcomes into one PeriodOutcome in GLOBAL SUBMISSION ORDER (every
@@ -42,6 +44,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geo/region_partition.h"
@@ -82,8 +85,8 @@ class ShardedMarketEngine {
   /// unique across the run (and across regions).
   Status AddWorker(const Worker& worker);
 
-  /// Routes to the region currently owning the worker (migration moves
-  /// ownership). Unknown ids are NotFound and counted.
+  /// Routes to the region whose worker index holds the id (migration moves
+  /// it). Ids no region knows are NotFound and counted at this layer.
   Status RemoveWorker(WorkerId id);
 
   /// Buffered until the close, then forwarded to the submitting region;
@@ -105,7 +108,9 @@ class ShardedMarketEngine {
   /// layout, same lifecycle, same per-region strategy types — or the
   /// restore fails with FailedPrecondition. Structural corruption anywhere
   /// (including inside a region blob) is rejected before any region is
-  /// touched.
+  /// touched. A region blob its engine rejects, or a worker owner table
+  /// the restored regions disagree with, is InvalidArgument found after
+  /// the regions were restored: they stay restored, this layer does not.
   Status RestoreFromCheckpoint(const std::string& data);
 
   /// Merged counters: this layer's routing rejections plus every region's.
@@ -180,14 +185,21 @@ class ShardedMarketEngine {
   /// rewinds the region: restores its pre-close snapshot and quiet-advances
   /// it to period t + 1, in lockstep with the others.
   Status QuarantineRegion(int k, int32_t t);
-  /// Ids of the open-period tasks routed to region k, in submission order.
-  std::vector<TaskId> RoutedTasksInOrder(int k) const;
+  /// The open period's routes to region k (every region when k < 0), in
+  /// submission order.
+  std::vector<const TaskRoute*> RoutesInOrder(int k) const;
   /// Moves every open task routed to (inactive) region k into its deferral
   /// queue, bits included, with conservation accounting.
   void DeferRegionTasks(int k);
   /// Re-forwards region k's deferral queue (original seqs) ahead of a
   /// recovery close attempt.
   Status ResubmitDeferred(int k);
+
+  /// The region whose worker index holds `id`, or -1 when none does.
+  int RegionOfWorker(WorkerId id) const;
+  /// (worker id, holding region) for every id any region knows, ascending
+  /// by id: the checkpoint's owner table.
+  std::vector<std::pair<WorkerId, int>> WorkerOwners() const;
 
   Status CloseAllRegions(int32_t t);
   void MergeOutcomes(int32_t t, PeriodOutcome* out);
@@ -204,7 +216,6 @@ class ShardedMarketEngine {
   int32_t period_ = 0;
   int64_t next_seq_ = 0;
   std::unordered_map<TaskId, TaskRoute> task_route_;  // open period only
-  std::unordered_map<WorkerId, int> worker_region_;
   std::unordered_map<TaskId, bool> pending_accept_;
   /// Routing-layer rejections (duplicates caught here, unknown removals,
   /// orphan bits for never-submitted tasks); merged with the regions' own

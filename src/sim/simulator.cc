@@ -16,6 +16,18 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
+PeriodStats ToPeriodStats(const PeriodOutcome& outcome) {
+  PeriodStats ps;
+  ps.period = outcome.period;
+  ps.revenue = outcome.revenue;
+  ps.mc_expected_revenue = outcome.mc_expected_revenue;
+  ps.num_tasks = outcome.num_tasks;
+  ps.num_accepted = static_cast<int32_t>(outcome.accepted.size());
+  ps.num_matched = static_cast<int32_t>(outcome.matches.size());
+  ps.num_available_workers = outcome.num_available_workers;
+  return ps;
+}
+
 }  // namespace
 
 Result<SimulationResult> RunSimulation(const Workload& workload,
@@ -88,15 +100,7 @@ Result<SimulationResult> RunSimulation(const Workload& workload,
     result.num_matched += static_cast<int64_t>(outcome.matches.size());
 
     if (options.collect_per_period) {
-      PeriodStats ps;
-      ps.period = outcome.period;
-      ps.revenue = outcome.revenue;
-      ps.mc_expected_revenue = outcome.mc_expected_revenue;
-      ps.num_tasks = outcome.num_tasks;
-      ps.num_accepted = static_cast<int32_t>(outcome.accepted.size());
-      ps.num_matched = static_cast<int32_t>(outcome.matches.size());
-      ps.num_available_workers = outcome.num_available_workers;
-      result.per_period.push_back(ps);
+      result.per_period.push_back(ToPeriodStats(outcome));
     }
   }
 
@@ -126,29 +130,16 @@ Result<SimulationResult> RunReplayStream(ReplayEventStream* stream,
   }
 
   ReplayStreamOptions drive;
-  if (options.collect_per_period) {
-    drive.on_close = [&result](const PeriodOutcome& outcome) {
-      if (outcome.skipped) return Status::OK();
-      PeriodStats ps;
-      ps.period = outcome.period;
-      ps.revenue = outcome.revenue;
-      ps.mc_expected_revenue = outcome.mc_expected_revenue;
-      ps.num_tasks = outcome.num_tasks;
-      ps.num_accepted = static_cast<int32_t>(outcome.accepted.size());
-      ps.num_matched = static_cast<int32_t>(outcome.matches.size());
-      ps.num_available_workers = outcome.num_available_workers;
-      result.per_period.push_back(ps);
-      result.mc_expected_revenue += outcome.mc_expected_revenue;
-      result.num_tasks += outcome.num_tasks;
-      return Status::OK();
-    };
-  } else {
-    drive.on_close = [&result](const PeriodOutcome& outcome) {
-      result.mc_expected_revenue += outcome.mc_expected_revenue;
-      result.num_tasks += outcome.num_tasks;
-      return Status::OK();
-    };
-  }
+  // A skipped (dead) period has no tasks and no workers, so it adds nothing
+  // to the totals and gets no per-period row.
+  const bool collect = options.collect_per_period;
+  drive.on_close = [&result, collect](const PeriodOutcome& outcome) {
+    if (outcome.skipped) return Status::OK();
+    result.mc_expected_revenue += outcome.mc_expected_revenue;
+    result.num_tasks += outcome.num_tasks;
+    if (collect) result.per_period.push_back(ToPeriodStats(outcome));
+    return Status::OK();
+  };
   auto summary_or = ReplayEventsThroughEngine(stream, grid, &engine, drive);
   MAPS_RETURN_NOT_OK(summary_or.status());
   const ReplayStreamSummary& summary = summary_or.ValueOrDie();

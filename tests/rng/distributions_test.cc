@@ -4,10 +4,12 @@
 
 #include <cmath>
 
-#include "stats/online_stats.h"
+#include "../online_mean_var.h"
 
 namespace maps {
 namespace {
+
+using testing_util::OnlineMeanVar;
 
 TEST(StdNormalTest, CdfKnownValues) {
   EXPECT_NEAR(StdNormalCdf(0.0), 0.5, 1e-12);

@@ -387,6 +387,16 @@ TEST(ShardedStitchTest, RepatriationMovesIdleWorkersToTheOwningRegion) {
   ASSERT_TRUE(engine.ClosePeriod(&out).ok());
   ASSERT_EQ(out.matches.size(), 1u);
   EXPECT_EQ(out.matches[0].worker, 1);
+
+  // Removal reaches the region that now holds the worker.
+  ASSERT_TRUE(engine.RemoveWorker(1).ok());
+  EXPECT_EQ(engine.region_engine(1)->num_live_workers(), 0);
+  EXPECT_EQ(engine.rejections().unknown_worker_removals, 0);
+
+  // The id stays burned run-wide: re-adding it in region 0, which no longer
+  // holds it, is still a duplicate.
+  EXPECT_EQ(engine.AddWorker(MakeWorker(grid, 1, {20, 20}, 30)).code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST(ShardedStitchTest, SkippedRegionRepostsItsCachedQuotes) {

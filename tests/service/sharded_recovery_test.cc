@@ -222,6 +222,55 @@ TEST(ShardedRecoveryTest, MonolithicCheckpointIsRejected) {
   EXPECT_EQ(sharded.engine->current_period(), 0);
 }
 
+TEST(ShardedRecoveryTest, OwnerTableDisagreeingWithRegionsIsRejected) {
+  // The routing section's worker owner table is derived from the regions'
+  // worker indices. A well-formed container (valid CRCs, in-range regions)
+  // whose table names the wrong holder of a worker must not be accepted.
+  const EngineOptions options = TurnaroundOptions();
+  Deployment original = MakeDeployment(4, 2, options);
+  PeriodOutcome out;
+  for (int32_t t = 0; t < 4; ++t) {
+    ASSERT_TRUE(DriveScriptedPeriod(*original.grid, original.engine.get(), t,
+                                    &out)
+                    .ok());
+  }
+  std::string checkpoint;
+  ASSERT_TRUE(original.engine->SaveCheckpoint(&checkpoint).ok());
+
+  std::vector<std::string> sections;
+  ASSERT_TRUE(internal::ParseCheckpointContainer(
+                  checkpoint, kShardedCheckpointMagic,
+                  kShardedCheckpointFormatVersion, 3, "sharded", &sections)
+                  .ok());
+  // Routing section: period, five counters, next seq, then the owner
+  // table's count and its (i64 id, i32 region) entries.
+  std::string& routing = sections[1];
+  StateReader r(routing);
+  int32_t i32;
+  int64_t i64;
+  uint64_t owners;
+  ASSERT_TRUE(r.GetI32(&i32, "period").ok());
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(r.GetI64(&i64, "counter").ok());
+  ASSERT_TRUE(r.GetU64(&owners, "owner count").ok());
+  ASSERT_GT(owners, 0u);
+  const size_t region_at = r.offset() + 8;  // first entry's region field
+  ASSERT_TRUE(routing[region_at] == 0 || routing[region_at] == 1);
+  routing[region_at] = static_cast<char>(1 - routing[region_at]);
+
+  StateWriter resealed;
+  resealed.PutBytes(kShardedCheckpointMagic, sizeof(kShardedCheckpointMagic));
+  resealed.PutU32(kShardedCheckpointFormatVersion);
+  resealed.PutU32(static_cast<uint32_t>(sections.size()));
+  for (size_t i = 0; i < sections.size(); ++i) {
+    internal::AppendCheckpointSection(static_cast<uint32_t>(i + 1),
+                                      sections[i], &resealed);
+  }
+
+  Deployment target = MakeDeployment(4, 2, options);
+  EXPECT_EQ(target.engine->RestoreFromCheckpoint(resealed.data()).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ShardedRecoveryTest, CorruptionIsRejectedWithoutTouchingRegions) {
   const EngineOptions options = TurnaroundOptions();
   Deployment original = MakeDeployment(4, 2, options);

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/online_stats.h"
+#include "../online_mean_var.h"
 
 namespace maps {
 namespace {
+
+using testing_util::OnlineMeanVar;
 
 SyntheticConfig SmallConfig() {
   SyntheticConfig cfg;

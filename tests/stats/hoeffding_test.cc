@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/online_stats.h"
+#include "../online_mean_var.h"
 
 namespace maps {
 namespace {
+
+using testing_util::OnlineMeanVar;
 
 TEST(HoeffdingTest, LadderSizeMatchesExampleFour) {
   // Example 4: p_min=1, p_max=5, alpha=0.5 => k = 4.
@@ -55,18 +57,6 @@ TEST(OnlineStatsTest, WelfordMeanVariance) {
   acc.Reset();
   EXPECT_EQ(acc.count(), 0);
   EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-}
-
-TEST(OnlineStatsTest, BernoulliCounter) {
-  BernoulliCounter c;
-  EXPECT_DOUBLE_EQ(c.rate(), 0.0);
-  c.Add(true);
-  c.Add(false);
-  c.Add(true);
-  c.Add(true);
-  EXPECT_EQ(c.trials(), 4);
-  EXPECT_EQ(c.successes(), 3);
-  EXPECT_DOUBLE_EQ(c.rate(), 0.75);
 }
 
 }  // namespace

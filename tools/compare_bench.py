@@ -34,6 +34,11 @@ DEFAULT_KEYS = [
     "engine_period",
     "checkpoint_save",
     "checkpoint_restore",
+    # The sharded container on a K=2 deployment saved mid-period: routing
+    # section (owner table, task routes, acceptance bits) plus both region
+    # blobs.
+    "sharded_checkpoint_save",
+    "sharded_checkpoint_restore",
     # Sharded serving closes. k1 is serial (router + one region). k2/k4 run
     # the regions over a pool but are gated anyway: the close is dominated
     # by the matching core, whose work-split across bands (not the host's

@@ -180,20 +180,6 @@ struct FaultTraceDetach {
 /// The engine-agnostic tail of `maps_cli replay`: streams the event file
 /// through `engine` (monolithic or sharded) with per-close table rows and
 /// optional periodic checkpoints, then prints the run summary.
-const char* RegionStateName(RegionHealth::State state) {
-  switch (state) {
-    case RegionHealth::State::kNormal:
-      return "normal";
-    case RegionHealth::State::kQuarantined:
-      return "quarantined";
-    case RegionHealth::State::kRecovered:
-      return "recovered";
-    case RegionHealth::State::kFailed:
-      return "FAILED";
-  }
-  return "?";
-}
-
 template <typename Engine>
 int DriveReplayAndReport(Engine* engine, ReplayEventStream* stream,
                          const GridPartition& grid, const std::string& which,
@@ -229,7 +215,7 @@ int DriveReplayAndReport(Engine* engine, ReplayEventStream* stream,
     for (const RegionHealth& h : outcome.region_health) {
       if (h.state == RegionHealth::State::kNormal) continue;
       MAPS_LOG(Info) << "degraded: region " << h.region << " "
-                     << RegionStateName(h.state) << " (attempt " << h.attempts
+                     << RegionHealthStateName(h.state) << " (attempt " << h.attempts
                      << ", since period " << h.quarantined_since << ")";
     }
     if (checkpoint_every > 0 &&
