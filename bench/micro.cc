@@ -105,7 +105,7 @@ BENCHMARK(BM_SpatialGraphBuild)->Range(64, 4096)->Complexity();
 
 void BM_SpatialGraphBuildPooled(benchmark::State& state) {
   // Steady-state variant: workspace and graph storage reused across builds,
-  // as PriceRound and the simulator do every round.
+  // as each MarketSnapshot slot does every period.
   const int n = static_cast<int>(state.range(0));
   auto grid = GridPartition::Make(Rect{0, 0, 100, 100}, 10, 10).ValueOrDie();
   Rng rng(4);
@@ -547,8 +547,8 @@ bool EmitTrackedJson(const std::string& path) {
           benchmark::DoNotOptimize(g.num_edges());
         },
         &b.iterations);
-    // Peak = finished CSR plus the build workspace's transient buffers
-    // (edge list, cell buckets), which dominate during assembly.
+    // Peak = finished CSR plus the build workspace (per-cell worker lists
+    // and the worker SoA).
     b.peak_bytes = g.FootprintBytes() + ws.FootprintBytes();
     results.push_back(b);
   }

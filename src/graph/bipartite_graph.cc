@@ -17,37 +17,25 @@ int64_t BipartiteGraph::TotalBuildCount() {
   return g_build_count.load(std::memory_order_relaxed);
 }
 
-void BipartiteGraph::AssignFromEdges(
-    int num_left, int num_right,
-    const std::vector<std::pair<int, int>>& edges,
-    std::vector<int64_t>* cursor) {
-  g_build_count.fetch_add(1, std::memory_order_relaxed);
-  num_left_ = num_left;
-  num_right_ = num_right;
-  offsets_.assign(num_left + 1, 0);
-  for (const auto& [l, r] : edges) {
-    MAPS_CHECK(l >= 0 && l < num_left) << "left vertex out of range";
-    MAPS_CHECK(r >= 0 && r < num_right) << "right vertex out of range";
-    ++offsets_[l + 1];
-  }
-  for (int l = 0; l < num_left; ++l) offsets_[l + 1] += offsets_[l];
-  adj_.resize(edges.size());
-  cursor->assign(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [l, r] : edges) {
-    adj_[(*cursor)[l]++] = r;
-  }
-  // Deterministic neighbor order regardless of input edge order.
-  for (int l = 0; l < num_left; ++l) {
-    std::sort(adj_.begin() + offsets_[l], adj_.begin() + offsets_[l + 1]);
-  }
-}
-
 BipartiteGraph BipartiteGraph::FromEdges(
     int num_left, int num_right,
     const std::vector<std::pair<int, int>>& edges) {
+  g_build_count.fetch_add(1, std::memory_order_relaxed);
+  // Deterministic neighbor order regardless of input edge order.
+  std::vector<std::pair<int, int>> sorted = edges;
+  std::sort(sorted.begin(), sorted.end());
   BipartiteGraph g;
-  std::vector<int64_t> cursor;
-  g.AssignFromEdges(num_left, num_right, edges, &cursor);
+  g.num_left_ = num_left;
+  g.num_right_ = num_right;
+  g.offsets_.assign(num_left + 1, 0);
+  g.adj_.reserve(sorted.size());
+  for (const auto& [l, r] : sorted) {
+    MAPS_CHECK(l >= 0 && l < num_left) << "left vertex out of range";
+    MAPS_CHECK(r >= 0 && r < num_right) << "right vertex out of range";
+    ++g.offsets_[l + 1];
+    g.adj_.push_back(r);
+  }
+  for (int l = 0; l < num_left; ++l) g.offsets_[l + 1] += g.offsets_[l];
   return g;
 }
 
@@ -55,29 +43,49 @@ void BipartiteGraph::BuildInto(const std::vector<Task>& tasks,
                                const std::vector<Worker>& workers,
                                const GridPartition& grid,
                                GraphBuildWorkspace* ws, BipartiteGraph* out) {
-  // Bucket task indices by grid cell, clearing (not freeing) old buckets.
-  ws->tasks_by_cell.resize(grid.num_cells());
-  for (auto& cell : ws->tasks_by_cell) cell.clear();
-  for (int i = 0; i < static_cast<int>(tasks.size()); ++i) {
-    ws->tasks_by_cell[tasks[i].grid].push_back(i);
-  }
-  ws->edges.clear();
-  for (int w = 0; w < static_cast<int>(workers.size()); ++w) {
+  g_build_count.fetch_add(1, std::memory_order_relaxed);
+  const int num_tasks = static_cast<int>(tasks.size());
+  const int num_workers = static_cast<int>(workers.size());
+
+  // Worker side: list each worker, in index order, under every cell its
+  // disc reaches, so each cell's list is ascending.
+  ws->workers_by_cell.resize(grid.num_cells());
+  for (auto& cell : ws->workers_by_cell) cell.clear();
+  ws->x.resize(num_workers);
+  ws->y.resize(num_workers);
+  ws->r2.resize(num_workers);
+  for (int w = 0; w < num_workers; ++w) {
     const Worker& worker = workers[w];
-    const double r2 = worker.radius * worker.radius;
+    ws->x[w] = worker.location.x;
+    ws->y[w] = worker.location.y;
+    ws->r2[w] = worker.radius * worker.radius;
     grid.CellsIntersectingDisc(worker.location, worker.radius, &ws->cells);
-    for (GridId cell : ws->cells) {
-      for (int t : ws->tasks_by_cell[cell]) {
-        const Point& o = tasks[t].origin;
-        const double dx = o.x - worker.location.x;
-        const double dy = o.y - worker.location.y;
-        if (dx * dx + dy * dy <= r2) ws->edges.emplace_back(t, w);
-      }
-    }
+    for (GridId cell : ws->cells) ws->workers_by_cell[cell].push_back(w);
   }
-  out->AssignFromEdges(static_cast<int>(tasks.size()),
-                       static_cast<int>(workers.size()), ws->edges,
-                       &ws->cursor);
+
+  // Task side: every candidate of a task's cell is written to the next CSR
+  // slot and kept iff it passes the exact range test, so the adjacency is
+  // sized to the candidate count and trimmed to the edge count.
+  int64_t candidates = 0;
+  for (const Task& task : tasks) {
+    candidates += static_cast<int64_t>(ws->workers_by_cell[task.grid].size());
+  }
+  out->num_left_ = num_tasks;
+  out->num_right_ = num_workers;
+  out->offsets_.assign(num_tasks + 1, 0);
+  out->adj_.resize(candidates);
+  int64_t n = 0;
+  for (int t = 0; t < num_tasks; ++t) {
+    const Point& o = tasks[t].origin;
+    for (int w : ws->workers_by_cell[tasks[t].grid]) {
+      const double dx = o.x - ws->x[w];
+      const double dy = o.y - ws->y[w];
+      out->adj_[n] = w;
+      n += dx * dx + dy * dy <= ws->r2[w];
+    }
+    out->offsets_[t + 1] = n;
+  }
+  out->adj_.resize(n);
 }
 
 BipartiteGraph BipartiteGraph::Build(const std::vector<Task>& tasks,

@@ -18,23 +18,25 @@
 
 namespace maps {
 
-/// \brief Reusable buffers for repeated spatial-join graph builds (one per
-/// pricing round). Holding one per call site makes steady-state builds
-/// allocation-free.
+/// \brief Reusable buffers for repeated spatial-join graph builds. Each
+/// MarketSnapshot holds one, so steady-state builds are allocation-free.
 struct GraphBuildWorkspace {
-  std::vector<std::vector<int>> tasks_by_cell;
-  std::vector<std::pair<int, int>> edges;
-  std::vector<int64_t> cursor;
+  /// Per grid cell, the ascending indices of the workers whose range disc
+  /// intersects the cell (GridPartition::CellsIntersectingDisc).
+  std::vector<std::vector<int>> workers_by_cell;
+  /// Worker SoA by index: location and squared radius.
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> r2;
   std::vector<GridId> cells;
 
-  /// Approximate heap footprint (memory-model accounting). The edge list
-  /// dominates a build's transient peak, ahead of the finished CSR.
+  /// Approximate heap footprint (memory-model accounting).
   size_t FootprintBytes() const {
-    size_t bytes = edges.capacity() * sizeof(std::pair<int, int>) +
-                   cursor.capacity() * sizeof(int64_t) +
+    size_t bytes = (x.capacity() + y.capacity() + r2.capacity()) *
+                       sizeof(double) +
                    cells.capacity() * sizeof(GridId) +
-                   tasks_by_cell.capacity() * sizeof(std::vector<int>);
-    for (const auto& cell : tasks_by_cell) {
+                   workers_by_cell.capacity() * sizeof(std::vector<int>);
+    for (const auto& cell : workers_by_cell) {
       bytes += cell.capacity() * sizeof(int);
     }
     return bytes;
@@ -51,9 +53,12 @@ class BipartiteGraph {
                                   const std::vector<std::pair<int, int>>& edges);
 
   /// Builds from tasks/workers under the range constraint using a grid
-  /// spatial join: each worker enumerates the cells its disc intersects and
-  /// tests only tasks bucketed there, so construction is near-linear for
-  /// realistic radii instead of O(|R|*|W|).
+  /// spatial join: each grid cell lists the workers whose disc reaches it,
+  /// and each task tests only the workers listed in its own cell, so
+  /// construction is near-linear for realistic radii instead of
+  /// O(|R|*|W|). Tasks are visited in index order and the CSR is written
+  /// directly, so every neighbor list comes out strictly ascending without
+  /// an edge buffer or a sort.
   static BipartiteGraph Build(const std::vector<Task>& tasks,
                               const std::vector<Worker>& workers,
                               const GridPartition& grid);
@@ -90,11 +95,6 @@ class BipartiteGraph {
   }
 
  private:
-  /// CSR assembly shared by every builder; reuses this graph's storage.
-  void AssignFromEdges(int num_left, int num_right,
-                       const std::vector<std::pair<int, int>>& edges,
-                       std::vector<int64_t>* cursor);
-
   int num_left_ = 0;
   int num_right_ = 0;
   std::vector<int64_t> offsets_;  // size num_left_+1

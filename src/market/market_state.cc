@@ -74,6 +74,7 @@ void MarketSnapshot::IndexWorkers() {
     MAPS_DCHECK(w.grid >= 0 && w.grid < g);
     workers_by_grid_[w.grid].push_back(i);
   }
+  BipartiteGraph::BuildInto(tasks_, workers_, *grid_, &graph_ws_, &graph_);
 }
 
 const std::vector<double>& MarketSnapshot::DistancePrefixSumsInGrid(
@@ -104,7 +105,8 @@ size_t MarketSnapshot::FootprintBytes() const {
                  sort_scratch_.capacity() * sizeof(double) +
                  tasks_by_grid_.capacity() * sizeof(std::vector<int>) +
                  workers_by_grid_.capacity() * sizeof(std::vector<int>) +
-                 dist_prefix_by_grid_.capacity() * sizeof(std::vector<double>);
+                 dist_prefix_by_grid_.capacity() * sizeof(std::vector<double>) +
+                 graph_.FootprintBytes() + graph_ws_.FootprintBytes();
   for (const auto& v : tasks_by_grid_) bytes += v.capacity() * sizeof(int);
   for (const auto& v : workers_by_grid_) bytes += v.capacity() * sizeof(int);
   for (const auto& v : dist_prefix_by_grid_) {

@@ -6,15 +6,17 @@
 // DESIGN.md §10): the task side (bucketing, descending-distance prefix
 // sums) depends only on the immutable workload and can be built for period
 // t+1 on a worker thread while period t is being priced; the worker side
-// depends on the serial worker-lifecycle state and is attached afterwards.
-// Both stages reuse all internal storage across calls, so a double-buffered
-// pair of snapshots performs no steady-state allocation.
+// depends on the serial worker-lifecycle state and is attached afterwards,
+// which also builds the period's one bipartite graph. Both stages reuse all
+// internal storage across calls, so a double-buffered pair of snapshots
+// performs no steady-state allocation.
 
 #pragma once
 
 #include <vector>
 
 #include "geo/grid.h"
+#include "graph/bipartite_graph.h"
 #include "market/task.h"
 #include "market/worker.h"
 
@@ -37,8 +39,8 @@ class MarketSnapshot {
   void ResetTasks(const GridPartition* grid, int32_t period,
                   const Task* begin, const Task* end);
 
-  /// Stage 2: copies the workers of [begin, end) and rebuilds the per-grid
-  /// worker index. Requires ResetTasks() to have bound a grid.
+  /// Stage 2: copies the workers of [begin, end), rebuilds the per-grid
+  /// worker index and builds graph(). Requires ResetTasks() first.
   void SetWorkers(const Worker* begin, const Worker* end);
 
   int32_t period() const { return period_; }
@@ -47,6 +49,10 @@ class MarketSnapshot {
 
   const std::vector<Task>& tasks() const { return tasks_; }
   const std::vector<Worker>& workers() const { return workers_; }
+
+  /// The period's graph B^t over tasks() x workers() (Algorithm 2, Line 1),
+  /// which pricing, diagnostics and the assignment all read.
+  const BipartiteGraph& graph() const { return graph_; }
 
   /// Indices into tasks() whose origin lies in `g`.
   const std::vector<int>& TasksInGrid(GridId g) const;
@@ -66,8 +72,8 @@ class MarketSnapshot {
   /// Sum of all task distances in grid `g` (demand-curve scale C).
   double TotalDistanceInGrid(GridId g) const;
 
-  /// Resident bytes of this snapshot's internal storage (task/worker copies
-  /// plus the per-grid indices and prefix sums), by capacity. Used by the
+  /// Resident bytes of this snapshot's internal storage (task/worker copies,
+  /// per-grid indices, prefix sums and the graph), by capacity. Used by the
   /// engine's platform-memory accounting: a double-buffered pair must count
   /// BOTH slots, not just the one currently handed to the strategy.
   size_t FootprintBytes() const;
@@ -85,6 +91,8 @@ class MarketSnapshot {
   std::vector<std::vector<double>> dist_prefix_by_grid_;
   std::vector<double> total_dist_by_grid_;
   std::vector<double> sort_scratch_;
+  BipartiteGraph graph_;
+  GraphBuildWorkspace graph_ws_;
 };
 
 }  // namespace maps

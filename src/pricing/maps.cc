@@ -276,13 +276,11 @@ Status Maps::PriceRound(const MarketSnapshot& snapshot,
           ? base_.base_price()
           : ladder_.Snap(std::sqrt(ladder_.p_min() * ladder_.p_max()));
 
-  // Line 1: the bipartite graph under the range constraints. Graph,
-  // matching, heap, and per-grid scratch are pooled members — steady-state
-  // rounds perform no heap allocation.
-  BipartiteGraph::BuildInto(snapshot.tasks(), snapshot.workers(),
-                            snapshot.grid(), &build_ws_, &graph_);
-  // Line 2: the pre-matching M'.
-  pre_matching_.Reset(&graph_);
+  // Line 1: the bipartite graph under the range constraints, built once per
+  // period by the snapshot. Line 2: the pre-matching M'. Matching, heap,
+  // and per-grid scratch are pooled members — steady-state rounds perform
+  // no heap allocation.
+  pre_matching_.Reset(&snapshot.graph());
 
   grid_prices->assign(num_grids, p_b);
   ResetRoundScratch(num_grids, p_b);
@@ -384,8 +382,7 @@ Status Maps::PriceRound(const MarketSnapshot& snapshot,
   }
 
   size_t round_bytes =
-      graph_.FootprintBytes() + pre_matching_.FootprintBytes() +
-      build_ws_.FootprintBytes() + heap_.capacity() * sizeof(HeapEntry) +
+      pre_matching_.FootprintBytes() + heap_.capacity() * sizeof(HeapEntry) +
       (engine_opt_.capacity() + engine_punit_.capacity() +
        engine_ceiling_.capacity()) *
           sizeof(double) +
@@ -513,8 +510,8 @@ Status Maps::LoadState(StateReader* r) {
 }
 
 size_t Maps::MemoryFootprintBytes() const {
-  // Persistent learned state only; the pooled round scratch (graph +
-  // pre-matching + engine tables) is tracked via peak_round_bytes().
+  // Persistent learned state only; the pooled round scratch (pre-matching
+  // + engine tables) is tracked via peak_round_bytes().
   size_t bytes = base_.MemoryFootprintBytes();
   for (const auto& u : ucb_) bytes += u.FootprintBytes();
   bytes += change_.size() * ladder_.size() * sizeof(ChangeDetector);

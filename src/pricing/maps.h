@@ -1,8 +1,9 @@
 // MAPS: MAtching-based Pricing Strategy (Sec. 4, Algorithms 2-3).
 //
-// Per period, MAPS (i) builds the task x worker bipartite graph under the
-// range constraints, (ii) greedily distributes the dependent supply: a
-// max-heap over grids repeatedly admits the single worker addition with the
+// Per period, MAPS (i) reads the task x worker bipartite graph under the
+// range constraints (built once by the MarketSnapshot), (ii) greedily
+// distributes the dependent supply: a max-heap over grids repeatedly
+// admits the single worker addition with the
 // largest increase Delta^g in the approximate expected revenue
 //     L^g(n, p) = min( sum_r d_r * p * S_g(p),  sum_{i<=n} d_{r_i} * p ),
 // verifying feasibility through augmenting paths in a pre-matching M', and
@@ -10,8 +11,8 @@
 // final supply level. Acceptance ratios are learned online with UCB and
 // guarded by a binomial change detector.
 //
-// The matching core is allocation-free in steady state: the graph, the
-// pre-matching, the heap, and every per-grid scratch vector are pooled
+// The matching core is allocation-free in steady state: the pre-matching,
+// the heap, and every per-grid scratch vector are pooled
 // across rounds, and each heap pop performs at most one alternating-tree
 // walk (the probe records the augmenting path; the later admission
 // revalidates and applies it in O(path) instead of searching again).
@@ -29,7 +30,6 @@
 #include <memory>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
 #include "graph/incremental_matching.h"
 #include "pricing/base_pricing.h"
 #include "pricing/strategy.h"
@@ -115,8 +115,8 @@ class Maps : public PricingStrategy {
   size_t MemoryFootprintBytes() const override;
 
   /// Learned state: nested BaseP warm-up, per-grid UCB tables, per-rung
-  /// change detectors, and reset counters. Round scratch (graph, heap,
-  /// maximizer engine) is rebuilt every PriceRound and not serialized.
+  /// change detectors, and reset counters. Round scratch (pre-matching,
+  /// heap, maximizer engine) is rebuilt every PriceRound and not serialized.
   /// LoadState commits all-or-nothing.
   Status SaveState(StateWriter* w) const override;
   Status LoadState(StateReader* r) override;
@@ -145,8 +145,9 @@ class Maps : public PricingStrategy {
   /// grid counts must keep this at zero; every increment is also logged.
   int64_t grid_state_resets() const { return grid_state_resets_; }
 
-  /// Peak bytes of the per-round transient structures (bipartite graph +
-  /// pre-matching + maximizer engine). Reported separately from
+  /// Peak bytes of the per-round transient structures (pre-matching + heap
+  /// + maximizer engine). The bipartite graph belongs to the snapshot and
+  /// is counted there. Reported separately from
   /// MemoryFootprintBytes() because they are pooled round-scratch, not
   /// learned state; the ablation bench surfaces them, and a regression
   /// test asserts the value stabilizes after the first rounds (pooling
@@ -238,8 +239,6 @@ class Maps : public PricingStrategy {
 
   // Pooled round scratch (contents are dead between rounds; capacity is
   // retained so steady-state rounds allocate nothing).
-  GraphBuildWorkspace build_ws_;
-  BipartiteGraph graph_;
   IncrementalMatching pre_matching_;
   std::vector<RecordedPath> pending_path_;  // per grid: next growth step
   std::vector<HeapEntry> heap_;

@@ -74,8 +74,7 @@ McCiEstimate MonteCarloRevenueOfPricesWithCI(
     const MarketSnapshot& snapshot, const DemandOracle& truth,
     const std::vector<double>& grid_prices, const McCiOptions& options,
     ThreadPool* pool) {
-  const BipartiteGraph graph = BipartiteGraph::Build(
-      snapshot.tasks(), snapshot.workers(), snapshot.grid());
+  const BipartiteGraph& graph = snapshot.graph();
   std::vector<PricedTask> priced;
   BuildPricedTasks(snapshot, truth, grid_prices, &priced);
   std::vector<PossibleWorldsWorkspace> workspaces;
@@ -126,8 +125,7 @@ Result<PeriodRegret> EvaluatePeriodRegret(
                                  static_cast<double>(busy_grids));
   const bool exact_tasks = num_tasks <= options.max_exact_tasks;
 
-  const BipartiteGraph graph = BipartiteGraph::Build(
-      snapshot.tasks(), snapshot.workers(), snapshot.grid());
+  const BipartiteGraph& graph = snapshot.graph();
   std::vector<PricedTask> priced;
   std::vector<PossibleWorldsWorkspace> workspaces;
 

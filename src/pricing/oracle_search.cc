@@ -99,8 +99,7 @@ constexpr int64_t kOracleSweepShards = 64;
 double ExpectedRevenueOfPrices(const MarketSnapshot& snapshot,
                                const DemandOracle& truth,
                                const std::vector<double>& grid_prices) {
-  const BipartiteGraph graph = BipartiteGraph::Build(
-      snapshot.tasks(), snapshot.workers(), snapshot.grid());
+  const BipartiteGraph& graph = snapshot.graph();
   std::vector<PricedTask> priced;
   priced.reserve(snapshot.tasks().size());
   PossibleWorldsWorkspace ws;

@@ -89,11 +89,14 @@ MarketEngine::MarketEngine(const GridPartition* grid,
     m_price_round_ns_ = m->GetHistogram("engine.close.price_round_ns", wall);
     m_matching_ns_ = m->GetHistogram("engine.close.matching_ns", wall);
     m_mc_diag_ns_ = m->GetHistogram("engine.close.mc_diag_ns", wall);
+    m_graph_build_ns_ = m->GetHistogram("engine.close.graph_build_ns", wall);
     m_ckpt_save_ns_ = m->GetHistogram("checkpoint.save_ns", wall);
     m_ckpt_restore_ns_ = m->GetHistogram("checkpoint.restore_ns", wall);
     m_ckpt_bytes_ = m->GetHistogram("checkpoint.state_bytes", det);
     m_periods_closed_ = m->GetCounter("engine.close.periods", det);
     m_dead_periods_ = m->GetCounter("engine.close.dead_periods", det);
+    m_graph_builds_ = m->GetCounter("engine.graph.builds", det);
+    m_graph_edges_ = m->GetCounter("engine.graph.edges", det);
     m_reject_.Resolve(m);
   }
 }
@@ -450,8 +453,17 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
     return Status::OK();
   }
 
-  snapshot.SetWorkers(period_workers_.data(),
-                      period_workers_.data() + period_workers_.size());
+  // Attaching the workers builds the period's one bipartite graph, which
+  // the strategy, the diagnostic and the assignment below all read.
+  {
+    obs::ScopedTimer graph_timer(m_graph_build_ns_);
+    snapshot.SetWorkers(period_workers_.data(),
+                        period_workers_.data() + period_workers_.size());
+  }
+  if (m_graph_builds_ != nullptr) {
+    m_graph_builds_->Increment();
+    m_graph_edges_->Add(snapshot.graph().num_edges());
+  }
   slot_bytes_[slot] = snapshot.FootprintBytes();
 
   // Price.
@@ -498,19 +510,6 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   pending_accept_.clear();
   out->prices.assign(prices_.begin(), prices_.end());
 
-  // Assignment: maximum-weight matching over accepted tasks (Def. 5).
-  // Graph and matching buffers are pooled across periods. The matching span
-  // sums the graph build and the matching call, skipping the MC diagnostic
-  // sandwiched between them.
-  Clock::time_point match_seg_start;
-  int64_t matching_ns = 0;
-  if (m_matching_ns_ != nullptr) match_seg_start = Clock::now();
-  BipartiteGraph::BuildInto(snapshot.tasks(), snapshot.workers(), *grid_,
-                            &graph_ws_, &graph_);
-  if (m_matching_ns_ != nullptr) {
-    matching_ns += Nanos(match_seg_start, Clock::now());
-  }
-
   // Monte-Carlo expected-revenue diagnostic: E[U(B^t)] of the posted prices
   // under the TRUE acceptance ratios (Def. 6) — simulation-only, since it
   // needs the ground-truth oracle. Period t's worlds live in seed family
@@ -526,23 +525,24 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
           task.distance, p, options_.mc_oracle->TrueAcceptRatio(task.grid, p)});
     }
     out->mc_expected_revenue = MonteCarloExpectedRevenue(
-        graph_, mc_priced_, options_.mc_seed + static_cast<uint64_t>(t),
-        options_.mc_worlds, options_.pool, &mc_workspaces_);
+        snapshot.graph(), mc_priced_,
+        options_.mc_seed + static_cast<uint64_t>(t), options_.mc_worlds,
+        options_.pool, &mc_workspaces_);
   }
 
-  if (m_matching_ns_ != nullptr) match_seg_start = Clock::now();
-  weights_.assign(snapshot.tasks().size(), -1.0);
-  for (size_t i = 0; i < snapshot.tasks().size(); ++i) {
-    if (!accepted_[i]) continue;
-    weights_[i] =
-        snapshot.tasks()[i].distance * prices_[snapshot.tasks()[i].grid];
-  }
-  // Called for the matching it leaves in match_ws_.inc; revenue needs
-  // per-task attribution below, not the returned total.
-  (void)MaxWeightTaskMatchingValue(graph_, weights_, &match_ws_);
-  if (m_matching_ns_ != nullptr) {
-    matching_ns += Nanos(match_seg_start, Clock::now());
-    m_matching_ns_->Record(matching_ns);
+  // Assignment: maximum-weight matching over accepted tasks (Def. 5).
+  // Matching buffers are pooled across periods.
+  {
+    obs::ScopedTimer matching_timer(m_matching_ns_);
+    weights_.assign(snapshot.tasks().size(), -1.0);
+    for (size_t i = 0; i < snapshot.tasks().size(); ++i) {
+      if (!accepted_[i]) continue;
+      weights_[i] =
+          snapshot.tasks()[i].distance * prices_[snapshot.tasks()[i].grid];
+    }
+    // Called for the matching it leaves in match_ws_.inc; revenue needs
+    // per-task attribution below, not the returned total.
+    (void)MaxWeightTaskMatchingValue(snapshot.graph(), weights_, &match_ws_);
   }
   const Matching& period_matching = match_ws_.inc.matching();
 
@@ -617,13 +617,12 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
     }
   }
 
-  // Platform footprint: matching graph + BOTH slots of the snapshot double
-  // buffer + the lifecycle table. The other slot's bytes are the value from
-  // its own last finalize (capacities only grow), so a concurrent prebuild
-  // is never read.
-  const size_t platform_bytes =
-      graph_.FootprintBytes() + slot_bytes_[0] + slot_bytes_[1] +
-      workers_.capacity() * sizeof(WorkerRecord);
+  // Platform footprint: BOTH slots of the snapshot double buffer (each
+  // holding its period's graph) + the lifecycle table. The other slot's
+  // bytes are the value from its own last finalize (capacities only grow),
+  // so a concurrent prebuild is never read.
+  const size_t platform_bytes = slot_bytes_[0] + slot_bytes_[1] +
+                                workers_.capacity() * sizeof(WorkerRecord);
   peak_platform_bytes_ = std::max(peak_platform_bytes_, platform_bytes);
   peak_strategy_bytes_ =
       std::max(peak_strategy_bytes_, strategy_->MemoryFootprintBytes());

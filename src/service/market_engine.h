@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "geo/grid.h"
-#include "graph/bipartite_graph.h"
 #include "graph/max_weight_matching.h"
 #include "graph/possible_worlds.h"
 #include "market/demand_oracle.h"
@@ -396,8 +395,8 @@ class MarketEngine {
   /// Cumulative wall time inside the strategy (PriceRound + acceptance +
   /// ObserveFeedback), the per-strategy cost the benches report.
   double strategy_seconds() const { return strategy_seconds_; }
-  /// Peak platform-side footprint: matching graph, BOTH snapshot slots of
-  /// the double buffer, and the worker-lifecycle table.
+  /// Peak platform-side footprint: BOTH snapshot slots of the double
+  /// buffer (each with its period's graph) and the worker-lifecycle table.
   size_t peak_platform_bytes() const { return peak_platform_bytes_; }
   /// Peak strategy footprint observed across closed periods.
   size_t peak_strategy_bytes() const { return peak_strategy_bytes_; }
@@ -475,8 +474,6 @@ class MarketEngine {
   std::vector<double> weights_;
   std::vector<Worker> period_workers_;
   std::vector<int> pool_of_;  // snapshot worker index -> workers_ index
-  GraphBuildWorkspace graph_ws_;
-  BipartiteGraph graph_;
   MaxWeightMatchingWorkspace match_ws_;
   std::vector<PricedTask> mc_priced_;
   std::vector<PossibleWorldsWorkspace> mc_workspaces_;
@@ -491,11 +488,14 @@ class MarketEngine {
   obs::Histogram* m_price_round_ns_ = nullptr;  // wall-clock
   obs::Histogram* m_matching_ns_ = nullptr;     // wall-clock
   obs::Histogram* m_mc_diag_ns_ = nullptr;      // wall-clock
+  obs::Histogram* m_graph_build_ns_ = nullptr;  // wall-clock
   obs::Histogram* m_ckpt_save_ns_ = nullptr;    // wall-clock
   obs::Histogram* m_ckpt_restore_ns_ = nullptr;  // wall-clock
   obs::Histogram* m_ckpt_bytes_ = nullptr;      // deterministic
   obs::Counter* m_periods_closed_ = nullptr;    // deterministic
   obs::Counter* m_dead_periods_ = nullptr;      // deterministic
+  obs::Counter* m_graph_builds_ = nullptr;      // deterministic
+  obs::Counter* m_graph_edges_ = nullptr;       // deterministic
   RejectionCounterHandles m_reject_;
 };
 

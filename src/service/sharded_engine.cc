@@ -989,45 +989,46 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
       MAPS_RETURN_NOT_OK(r.GetString(&region_blobs[k], "region checkpoint"));
     }
     MAPS_RETURN_NOT_OK(r.ExpectEnd("sharded regions section"));
-    // Structural pre-validation of every embedded blob (magic, version,
-    // section CRCs) before ANY region engine is mutated: corruption — the
-    // common failure — can then never leave the deployment half-restored.
-    // A semantic mismatch inside region k's restore (below) still can;
-    // same caveat class as the monolith's strategy-section note (§12).
+  }
+
+  // A region blob its engine rejects (corrupt or inconsistent), or an owner
+  // table the restored regions disagree with, is found only after regions
+  // were restored; the rewind's encoder snapshots them first so every such
+  // failure rolls all of them back.
+  std::vector<std::string> rollback(num_regions);
+  for (int k = 0; k < num_regions; ++k) {
+    MAPS_RETURN_NOT_OK(regions_[k]->SaveCheckpoint(&rollback[k]));
+  }
+  const auto roll_back = [&](const Status& failure) {
     for (int k = 0; k < num_regions; ++k) {
-      std::vector<std::string> probe;
-      const Status s = internal::ParseCheckpointContainer(
-          region_blobs[k], kCheckpointMagic, kCheckpointFormatVersion,
-          kCheckpointNumSections, "MAPS checkpoint", &probe);
+      const Status s = regions_[k]->RestoreFromCheckpoint(rollback[k]);
       if (!s.ok()) {
-        return Status::InvalidArgument("embedded checkpoint of region " +
-                                       std::to_string(k) + ": " +
-                                       s.message());
+        return Status::Internal("rolling back region " + std::to_string(k) +
+                                ": " + s.message());
       }
     }
-  }
+    return failure;
+  };
 
   for (int k = 0; k < num_regions; ++k) {
     const Status s = regions_[k]->RestoreFromCheckpoint(region_blobs[k]);
     if (!s.ok()) {
-      return Status::InvalidArgument("restoring region " + std::to_string(k) +
-                                     ": " + s.message());
+      return roll_back(Status::InvalidArgument(
+          "restoring region " + std::to_string(k) + ": " + s.message()));
     }
     if (regions_[k]->current_period() != period) {
-      return Status::InvalidArgument(
+      return roll_back(Status::InvalidArgument(
           "region " + std::to_string(k) + " restored at period " +
           std::to_string(regions_[k]->current_period()) +
-          ", the sharded layer at " + std::to_string(period));
+          ", the sharded layer at " + std::to_string(period)));
     }
   }
 
   // The owner table is derived state: the restored regions' worker indices
-  // must reproduce it exactly. A mismatch fails here, after the regions
-  // were restored — the same partial-restore caveat as a semantic mismatch
-  // inside a region's restore above.
+  // must reproduce it exactly.
   if (owners != WorkerOwners()) {
-    return Status::InvalidArgument(
-        "worker owner table disagrees with the restored regions");
+    return roll_back(Status::InvalidArgument(
+        "worker owner table disagrees with the restored regions"));
   }
 
   // Commit this layer. Nothing below can fail. As in the monolith's

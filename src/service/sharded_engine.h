@@ -106,11 +106,10 @@ class ShardedMarketEngine {
   /// All regions restored from one SaveCheckpoint container. The engine
   /// must be configured like the saver — same grid, same K and band
   /// layout, same lifecycle, same per-region strategy types — or the
-  /// restore fails with FailedPrecondition. Structural corruption anywhere
-  /// (including inside a region blob) is rejected before any region is
-  /// touched. A region blob its engine rejects, or a worker owner table
-  /// the restored regions disagree with, is InvalidArgument found after
-  /// the regions were restored: they stay restored, this layer does not.
+  /// restore fails with FailedPrecondition. All-or-nothing: a damaged
+  /// container is rejected before any region is touched, and a region blob
+  /// its engine rejects, or a worker owner table the restored regions
+  /// disagree with, is InvalidArgument after every region is rolled back.
   Status RestoreFromCheckpoint(const std::string& data);
 
   /// Merged counters: this layer's routing rejections plus every region's.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -222,40 +223,28 @@ TEST(ShardedRecoveryTest, MonolithicCheckpointIsRejected) {
   EXPECT_EQ(sharded.engine->current_period(), 0);
 }
 
-TEST(ShardedRecoveryTest, OwnerTableDisagreeingWithRegionsIsRejected) {
-  // The routing section's worker owner table is derived from the regions'
-  // worker indices. A well-formed container (valid CRCs, in-range regions)
-  // whose table names the wrong holder of a worker must not be accepted.
-  const EngineOptions options = TurnaroundOptions();
+/// A checkpoint of a 4x4 K=2 deployment driven for four periods, with its
+/// sections edited by `tamper` and every section CRC resealed, so only a
+/// decoder that looks past the container can reject it.
+std::string TamperedCheckpoint(
+    const EngineOptions& options,
+    const std::function<void(std::vector<std::string>*)>& tamper) {
   Deployment original = MakeDeployment(4, 2, options);
   PeriodOutcome out;
   for (int32_t t = 0; t < 4; ++t) {
-    ASSERT_TRUE(DriveScriptedPeriod(*original.grid, original.engine.get(), t,
+    EXPECT_TRUE(DriveScriptedPeriod(*original.grid, original.engine.get(), t,
                                     &out)
                     .ok());
   }
   std::string checkpoint;
-  ASSERT_TRUE(original.engine->SaveCheckpoint(&checkpoint).ok());
+  EXPECT_TRUE(original.engine->SaveCheckpoint(&checkpoint).ok());
 
   std::vector<std::string> sections;
-  ASSERT_TRUE(internal::ParseCheckpointContainer(
+  EXPECT_TRUE(internal::ParseCheckpointContainer(
                   checkpoint, kShardedCheckpointMagic,
                   kShardedCheckpointFormatVersion, 3, "sharded", &sections)
                   .ok());
-  // Routing section: period, five counters, next seq, then the owner
-  // table's count and its (i64 id, i32 region) entries.
-  std::string& routing = sections[1];
-  StateReader r(routing);
-  int32_t i32;
-  int64_t i64;
-  uint64_t owners;
-  ASSERT_TRUE(r.GetI32(&i32, "period").ok());
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(r.GetI64(&i64, "counter").ok());
-  ASSERT_TRUE(r.GetU64(&owners, "owner count").ok());
-  ASSERT_GT(owners, 0u);
-  const size_t region_at = r.offset() + 8;  // first entry's region field
-  ASSERT_TRUE(routing[region_at] == 0 || routing[region_at] == 1);
-  routing[region_at] = static_cast<char>(1 - routing[region_at]);
+  tamper(&sections);
 
   StateWriter resealed;
   resealed.PutBytes(kShardedCheckpointMagic, sizeof(kShardedCheckpointMagic));
@@ -265,10 +254,86 @@ TEST(ShardedRecoveryTest, OwnerTableDisagreeingWithRegionsIsRejected) {
     internal::AppendCheckpointSection(static_cast<uint32_t>(i + 1),
                                       sections[i], &resealed);
   }
+  return resealed.data();
+}
 
+/// Names the wrong region for the first worker in the owner table.
+void FlipFirstOwner(std::vector<std::string>* sections) {
+  // Routing section: period, five counters, next seq, then the owner
+  // table's count and its (i64 id, i32 region) entries.
+  std::string& routing = (*sections)[1];
+  StateReader r(routing);
+  int32_t i32;
+  int64_t i64;
+  uint64_t owners;
+  EXPECT_TRUE(r.GetI32(&i32, "period").ok());
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(r.GetI64(&i64, "counter").ok());
+  EXPECT_TRUE(r.GetU64(&owners, "owner count").ok());
+  EXPECT_GT(owners, 0u);
+  const size_t region_at = r.offset() + 8;  // first entry's region field
+  EXPECT_TRUE(routing[region_at] == 0 || routing[region_at] == 1);
+  routing[region_at] = static_cast<char>(1 - routing[region_at]);
+}
+
+/// Damages the last byte of the regions section, which lies in the last
+/// region's embedded blob: region 0 restores, region 1 rejects its blob.
+void CorruptLastRegionBlob(std::vector<std::string>* sections) {
+  std::string& regions = (*sections)[2];
+  regions.back() = static_cast<char>(regions.back() ^ 0x5a);
+}
+
+TEST(ShardedRecoveryTest, OwnerTableDisagreeingWithRegionsIsRejected) {
+  // The routing section's worker owner table is derived from the regions'
+  // worker indices. A well-formed container (valid CRCs, in-range regions)
+  // whose table names the wrong holder of a worker must not be accepted.
+  const EngineOptions options = TurnaroundOptions();
+  const std::string tampered = TamperedCheckpoint(options, FlipFirstOwner);
+  ASSERT_FALSE(::testing::Test::HasFailure());
   Deployment target = MakeDeployment(4, 2, options);
-  EXPECT_EQ(target.engine->RestoreFromCheckpoint(resealed.data()).code(),
+  EXPECT_EQ(target.engine->RestoreFromCheckpoint(tampered).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ShardedRecoveryTest, RejectedRestoreRollsEveryRegionBack) {
+  // Both failures are found only after regions restored the blob's
+  // period-4 state. A live deployment at period 2 must come out of the
+  // failed restore exactly as it went in — same checkpoint bytes — and
+  // keep serving in lockstep with a twin that never tried the restore.
+  const EngineOptions options = TurnaroundOptions();
+  for (const auto& tamper : {FlipFirstOwner, CorruptLastRegionBlob}) {
+    const std::string tampered = TamperedCheckpoint(options, tamper);
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    Deployment live = MakeDeployment(4, 2, options);
+    Deployment twin = MakeDeployment(4, 2, options);
+    PeriodOutcome live_out;
+    PeriodOutcome twin_out;
+    for (int32_t t = 0; t < 2; ++t) {
+      ASSERT_TRUE(DriveScriptedPeriod(*live.grid, live.engine.get(), t,
+                                      &live_out)
+                      .ok());
+      ASSERT_TRUE(DriveScriptedPeriod(*twin.grid, twin.engine.get(), t,
+                                      &twin_out)
+                      .ok());
+    }
+    std::string before;
+    ASSERT_TRUE(live.engine->SaveCheckpoint(&before).ok());
+
+    EXPECT_EQ(live.engine->RestoreFromCheckpoint(tampered).code(),
+              StatusCode::kInvalidArgument);
+    std::string after;
+    ASSERT_TRUE(live.engine->SaveCheckpoint(&after).ok());
+    EXPECT_TRUE(after == before) << "a rejected restore changed the state";
+
+    for (int32_t t = 2; t < 5; ++t) {
+      ASSERT_TRUE(DriveScriptedPeriod(*live.grid, live.engine.get(), t,
+                                      &live_out)
+                      .ok());
+      ASSERT_TRUE(DriveScriptedPeriod(*twin.grid, twin.engine.get(), t,
+                                      &twin_out)
+                      .ok());
+      ExpectSamePeriod(live_out, twin_out);
+    }
+  }
 }
 
 TEST(ShardedRecoveryTest, CorruptionIsRejectedWithoutTouchingRegions) {
