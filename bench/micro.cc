@@ -105,7 +105,7 @@ BENCHMARK(BM_SpatialGraphBuild)->Range(64, 4096)->Complexity();
 
 void BM_SpatialGraphBuildPooled(benchmark::State& state) {
   // Steady-state variant: workspace and graph storage reused across builds,
-  // as each MarketSnapshot slot does every period.
+  // as the engine's MarketSnapshot does every period.
   const int n = static_cast<int>(state.range(0));
   auto grid = GridPartition::Make(Rect{0, 0, 100, 100}, 10, 10).ValueOrDie();
   Rng rng(4);
@@ -720,15 +720,12 @@ bool EmitTrackedJson(const std::string& path) {
     results.push_back(mt);
   }
 
-  // End-to-end period throughput, serial vs pipelined: the pipelined run
-  // prebuilds period t+1's task-side snapshot on the pool while period t is
-  // priced and matched (SimOptions::pipeline_periods); results are
-  // bit-identical, so the pair measures pure overlap. A fixed repetition
-  // count with a freshly warmed strategy per rep (warm-up outside the
-  // timed region) keeps every timed run identical work — a time-budgeted
-  // loop on one strategy would accumulate UCB state at a machine-dependent
-  // rate and drift the gated metric. problem_size: periods per run for the
-  // serial entry, thread count for the pipelined one.
+  // End-to-end period throughput of a serial RunSimulation. A fixed
+  // repetition count with a freshly warmed strategy per rep (warm-up
+  // outside the timed region) keeps every timed run identical work — a
+  // time-budgeted loop on one strategy would accumulate UCB state at a
+  // machine-dependent rate and drift the gated metric. problem_size:
+  // periods per run.
   {
     SyntheticConfig cfg;
     cfg.num_tasks = std::max(400, static_cast<int>(20000 * scale));
@@ -766,33 +763,18 @@ bool EmitTrackedJson(const std::string& path) {
     r.iterations = kSimReps;
     r.ns_per_op = time_sim(serial_opts, &r.peak_bytes);
 
-    ThreadPool pool(ThreadPool::DefaultThreadCount());
-    SimOptions pipe_opts;
-    pipe_opts.skip_warmup = true;
-    pipe_opts.engine.pipeline_periods = true;
-    pipe_opts.engine.pool = &pool;
-    TrackedResult mt;
-    mt.name = "simulator_periods_pipelined";
-    mt.problem_size = pool.num_threads();
-    mt.iterations = kSimReps;
-    mt.ns_per_op = time_sim(pipe_opts, &mt.peak_bytes);
-
-    if (r.ns_per_op < 0.0 || mt.ns_per_op < 0.0) {
+    if (r.ns_per_op < 0.0) {
       std::cerr << "MAPS simulation failed; no tracked results\n";
       return false;
     }
     results.push_back(r);
-    results.push_back(mt);
   }
 
   // Online-engine period throughput: the same market class fed through the
   // MarketEngine event API (AddWorker/SubmitTask/ClosePeriod) instead of
   // RunSimulation — the serving path a live deployment pays for. ns_per_op
-  // is per CLOSED PERIOD. The pipelined entry bulk-stages each next period
-  // (StageNextPeriodTasks) over a pool so the task-side snapshot build
-  // overlaps the close; results are bit-identical, the pair measures pure
-  // overlap. Warm-up happens outside the timed region with a fresh
-  // strategy per rep (same rationale as simulator_periods).
+  // is per CLOSED PERIOD. Warm-up happens outside the timed region with a
+  // fresh strategy per rep (same rationale as simulator_periods).
   {
     SyntheticConfig cfg;
     cfg.num_tasks = std::max(400, static_cast<int>(20000 * scale));
@@ -817,8 +799,7 @@ bool EmitTrackedJson(const std::string& path) {
     // One full replay; returns seconds for the timed region, or negative on
     // failure. `metrics` non-null attaches a live registry + trace so the
     // metrics-on variant measures the fully-instrumented close.
-    const auto run_once = [&](ThreadPool* pool, bool staged,
-                              obs::MetricsRegistry* metrics,
+    const auto run_once = [&](obs::MetricsRegistry* metrics,
                               obs::TraceLog* trace, size_t* bytes) -> double {
       MapsOptions mopts;
       Maps strategy(mopts);
@@ -826,7 +807,6 @@ bool EmitTrackedJson(const std::string& path) {
       if (!strategy.Warmup(w.grid, &history).ok()) return -1.0;
       EngineOptions engine_options;
       engine_options.lifecycle = w.lifecycle;
-      engine_options.pool = pool;
       engine_options.metrics = metrics;
       engine_options.trace = trace;
       const auto start = std::chrono::steady_clock::now();
@@ -842,23 +822,13 @@ bool EmitTrackedJson(const std::string& path) {
       };
       submit(0);
       for (int32_t t = 0; t < w.num_periods; ++t) {
-        if (staged && t + 1 < w.num_periods) {
-          const auto [begin, end] = range[t + 1];
-          if (!engine
-                   .StageNextPeriodTasks(w.tasks.data() + begin,
-                                         w.tasks.data() + end,
-                                         w.valuations.data() + begin)
-                   .ok()) {
-            std::abort();
-          }
-        }
         while (next_entry < w.workers.size() &&
                w.workers[next_entry].period == t) {
           if (!engine.AddWorker(w.workers[next_entry]).ok()) std::abort();
           ++next_entry;
         }
         if (!engine.ClosePeriod(&outcome).ok()) return -1.0;
-        if (!staged && t + 1 < w.num_periods) submit(t + 1);
+        if (t + 1 < w.num_periods) submit(t + 1);
       }
       const double sec = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
@@ -868,20 +838,8 @@ bool EmitTrackedJson(const std::string& path) {
     };
 
     // Best-of-reps ns per closed period: min (not mean) so one noisy rep
-    // cannot distort a key.
-    const auto time_engine = [&](ThreadPool* pool, bool staged,
-                                 size_t* bytes) -> double {
-      double best_sec = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < kEngineReps; ++rep) {
-        const double sec = run_once(pool, staged, nullptr, nullptr, bytes);
-        if (sec < 0.0) return -1.0;
-        best_sec = std::min(best_sec, sec);
-      }
-      return best_sec * 1e9 / w.num_periods;
-    };
-
-    // engine_period and engine_period_metrics_on are measured as an
-    // INTERLEAVED pair (bare rep, instrumented rep, bare rep, ...) so both
+    // cannot distort a key. engine_period and engine_period_metrics_on are
+    // measured as an INTERLEAVED pair (bare rep, instrumented rep, bare rep, ...) so both
     // sample the same machine conditions: the compare_bench.py overhead
     // gate holds their ratio to 1.05, which clock drift between two
     // separate measurement windows would otherwise swamp at small scales.
@@ -900,10 +858,8 @@ bool EmitTrackedJson(const std::string& path) {
       double best_on = std::numeric_limits<double>::infinity();
       bool failed = false;
       for (int rep = 0; rep < kEngineReps && !failed; ++rep) {
-        const double plain_sec =
-            run_once(nullptr, false, nullptr, nullptr, &r.peak_bytes);
-        const double on_sec =
-            run_once(nullptr, false, &registry, &trace, &ot.peak_bytes);
+        const double plain_sec = run_once(nullptr, nullptr, &r.peak_bytes);
+        const double on_sec = run_once(&registry, &trace, &ot.peak_bytes);
         failed = plain_sec < 0.0 || on_sec < 0.0;
         best_plain = std::min(best_plain, plain_sec);
         best_on = std::min(best_on, on_sec);
@@ -912,19 +868,11 @@ bool EmitTrackedJson(const std::string& path) {
       ot.ns_per_op = failed ? -1.0 : best_on * 1e9 / w.num_periods;
     }
 
-    ThreadPool pool(ThreadPool::DefaultThreadCount());
-    TrackedResult mt;
-    mt.name = "engine_period_pipelined";
-    mt.problem_size = pool.num_threads();
-    mt.iterations = kEngineReps;
-    mt.ns_per_op = time_engine(&pool, true, &mt.peak_bytes);
-
-    if (r.ns_per_op < 0.0 || mt.ns_per_op < 0.0 || ot.ns_per_op < 0.0) {
+    if (r.ns_per_op < 0.0 || ot.ns_per_op < 0.0) {
       std::cerr << "engine replay failed; no tracked results\n";
       return false;
     }
     results.push_back(r);
-    results.push_back(mt);
     results.push_back(ot);
   }
 

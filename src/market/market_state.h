@@ -2,14 +2,12 @@
 // period — the issued tasks, the available workers, and the grid partition.
 // Valuations are absent by construction.
 //
-// Construction is staged so the simulator can pipeline periods (see
-// DESIGN.md §10): the task side (bucketing, descending-distance prefix
-// sums) depends only on the immutable workload and can be built for period
-// t+1 on a worker thread while period t is being priced; the worker side
-// depends on the serial worker-lifecycle state and is attached afterwards,
-// which also builds the period's one bipartite graph. Both stages reuse all
-// internal storage across calls, so a double-buffered pair of snapshots
-// performs no steady-state allocation.
+// Construction is staged: the task side (bucketing, descending-distance
+// prefix sums) depends only on the period's tasks; the worker side depends
+// on the worker-lifecycle state and is attached afterwards, which also
+// builds the period's one bipartite graph. Both stages reuse all internal
+// storage across calls, so the engine's one snapshot, rebuilt every
+// period, performs no steady-state allocation (DESIGN.md §10).
 
 #pragma once
 
@@ -74,8 +72,7 @@ class MarketSnapshot {
 
   /// Resident bytes of this snapshot's internal storage (task/worker copies,
   /// per-grid indices, prefix sums and the graph), by capacity. Used by the
-  /// engine's platform-memory accounting: a double-buffered pair must count
-  /// BOTH slots, not just the one currently handed to the strategy.
+  /// engine's platform-memory accounting.
   size_t FootprintBytes() const;
 
  private:

@@ -132,10 +132,9 @@ Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
   int64_t total = 1;
   for (size_t i = 0; i < busy_grids.size(); ++i) total *= ladder.size();
 
-  // The graph depends only on geometry, never on prices: build it ONCE for
-  // the whole odometer sweep instead of once per price combination.
-  const BipartiteGraph graph = BipartiteGraph::Build(
-      snapshot.tasks(), snapshot.workers(), snapshot.grid());
+  // The graph depends only on geometry, never on prices: the snapshot's
+  // one graph serves the whole odometer sweep.
+  const BipartiteGraph& graph = snapshot.graph();
 
   const int num_workers = pool == nullptr ? 1 : pool->num_threads();
   std::vector<SweepScratch> scratch(num_workers);

@@ -37,9 +37,9 @@ Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
 /// argmax is reduced in shard order with ties broken by the LOWEST
 /// combination index. Every combination's value is computed exactly as in
 /// the serial sweep, so the result — prices and revenue — is bit-identical
-/// to the serial overload and to itself under any thread count. The graph
-/// is still built exactly once per invocation. `pool == nullptr` runs the
-/// same sharded sweep inline.
+/// to the serial overload and to itself under any thread count. Every
+/// combination reads the snapshot's graph; no graph is built. `pool ==
+/// nullptr` runs the same sharded sweep inline.
 Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
                                         const DemandOracle& truth,
                                         const PriceLadder& ladder,

@@ -409,8 +409,6 @@ Status PruneCheckpointFiles(const std::string& dir, const std::string& prefix,
 Status MarketEngine::SaveCheckpoint(std::string* out) {
   if (out == nullptr) return Status::InvalidArgument("null output string");
   obs::ScopedTimer save_timer(m_ckpt_save_ns_);
-  // No prebuild job may be running while we serialize the stages it reads.
-  DrainPrebuilds();
 
   StateWriter config;
   internal::PutGridFingerprint(*grid_, &config);
@@ -497,7 +495,6 @@ Status MarketEngine::SaveCheckpoint(std::string* out) {
 
 Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   obs::ScopedTimer restore_timer(m_ckpt_restore_ns_);
-  DrainPrebuilds();
   std::vector<std::string> sections;
   MAPS_RETURN_NOT_OK(internal::ParseCheckpointContainer(
       data, kCheckpointMagic, kCheckpointFormatVersion, kCheckpointNumSections,
@@ -657,14 +654,24 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   }
 
   {  // Strategy learned state. This is the last fallible step and the only
-    // one that mutates anything: per-strategy LoadState is itself
-    // all-or-nothing, so on failure neither the strategy nor the engine
-    // changed. (A trailing-bytes failure below leaves the strategy holding
-    // the — fully decoded, self-consistent — checkpoint state while the
-    // engine is untouched and reports the error.)
+    // one that mutates anything. Per-strategy LoadState is all-or-nothing,
+    // but the trailing-bytes check runs after it has replaced the state, so
+    // the strategy's own state is saved first and loaded back on either
+    // failure: neither the strategy nor the engine changes.
+    StateWriter prior;
+    MAPS_RETURN_NOT_OK(strategy_->SaveState(&prior));
     StateReader r(sections[kSectionStrategy - 1]);
-    MAPS_RETURN_NOT_OK(strategy_->LoadState(&r));
-    MAPS_RETURN_NOT_OK(r.ExpectEnd("strategy section"));
+    Status loaded = strategy_->LoadState(&r);
+    if (loaded.ok()) loaded = r.ExpectEnd("strategy section");
+    if (!loaded.ok()) {
+      StateReader undo(prior.data());
+      const Status undone = strategy_->LoadState(&undo);
+      if (!undone.ok()) {
+        return Status::Internal("reloading the strategy's prior state: " +
+                                undone.message());
+      }
+      return loaded;
+    }
   }
 
   // Commit. Nothing below can fail. The mirrored registry counters absorb
@@ -684,10 +691,8 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   stages_[1] = std::move(stages[1]);
   pending_accept_ = std::move(pending);
   reposition_rng_.LoadState(rng_state);
-  // The snapshot slots are derived state: ClosePeriod rebuilds the task
-  // side (no prebuild latch is pending — drained above) and re-sets the
-  // worker side every close, so stale slot contents are never observed.
-  slot_bytes_[0] = slot_bytes_[1] = 0;
+  // The snapshot is derived state that every ClosePeriod rebuilds before
+  // reading it, so stale contents are never observed.
   // Wall-clock and footprint diagnostics describe this process, not the
   // run; they restart at zero (documented in DESIGN.md §12).
   strategy_seconds_ = 0.0;

@@ -77,7 +77,6 @@ MarketEngine::MarketEngine(const GridPartition* grid,
       reposition_rng_(options.lifecycle.reposition_seed) {
   MAPS_CHECK(grid_ != nullptr);
   MAPS_CHECK(strategy_ != nullptr);
-  pipelined_ = options_.pipeline_periods && options_.pool != nullptr;
   // Lent unconditionally so a pool-less engine clears any pool a previous
   // owner lent to a reused strategy (which may be destroyed by now).
   strategy_->LendPool(options_.pool);
@@ -98,18 +97,6 @@ MarketEngine::MarketEngine(const GridPartition* grid,
     m_graph_builds_ = m->GetCounter("engine.graph.builds", det);
     m_graph_edges_ = m->GetCounter("engine.graph.edges", det);
     m_reject_.Resolve(m);
-  }
-}
-
-MarketEngine::~MarketEngine() { DrainPrebuilds(); }
-
-void MarketEngine::DrainPrebuilds() {
-  // A prebuild job captures `this`; no exit path may leave one running.
-  for (auto& latch : prebuild_latch_) {
-    if (latch != nullptr) {
-      latch->Wait();
-      latch.reset();
-    }
   }
 }
 
@@ -169,22 +156,6 @@ Status MarketEngine::StageNextPeriodTasks(const Task* begin, const Task* end,
     stage.valuations.assign(static_cast<size_t>(end - begin), kNoValuation);
   }
   stage.sealed = true;
-  if (pipelined_) {
-    // Prebuild the sealed period's task side on the pool: it touches only
-    // the OTHER slot and this stage's (now immutable until the close) task
-    // copy, so it is safe alongside the current period's ClosePeriod() and
-    // bit-identical to the synchronous build (DESIGN.md §10/§11).
-    const int slot = (period_ + 1) & 1;
-    const int32_t p = period_ + 1;
-    prebuild_latch_[slot] = std::make_unique<internal::Latch>(1);
-    internal::Latch* latch = prebuild_latch_[slot].get();
-    options_.pool->Submit([this, slot, p, latch](int /*worker*/) {
-      const Stage& s = stages_[slot];
-      slots_[slot].ResetTasks(grid_, p, s.tasks.data(),
-                              s.tasks.data() + s.tasks.size());
-      latch->Done();
-    });
-  }
   return Status::OK();
 }
 
@@ -347,7 +318,6 @@ Status MarketEngine::AdoptWorker(const Worker& base, int32_t next_free,
 }
 
 void MarketEngine::AdvanceQuietPeriod() {
-  DrainPrebuilds();
   const int32_t t = period_;
   // Rides that ended by now return to the idle list in heap (next_free,
   // index) order, exactly as a real close would have returned them.
@@ -377,22 +347,13 @@ int64_t MarketEngine::num_live_workers() const {
 Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   if (out == nullptr) return Status::InvalidArgument("null outcome");
   const int32_t t = period_;
-  const int slot = t & 1;
-  Stage& stage = stages_[slot];
-  MarketSnapshot& snapshot = slots_[slot];
+  Stage& stage = stages_[t & 1];
 
-  // Finalize the task side: adopt the prebuilt snapshot or build it now.
-  // The span covers the latch wait in the pipelined case so it reports the
-  // close-path cost actually paid, not the (overlapped) build cost.
+  // The task side of the snapshot: bucketing and distance prefix sums.
   {
     obs::ScopedTimer prebuild_timer(m_prebuild_ns_);
-    if (prebuild_latch_[slot] != nullptr) {
-      prebuild_latch_[slot]->Wait();
-      prebuild_latch_[slot].reset();
-    } else {
-      snapshot.ResetTasks(grid_, t, stage.tasks.data(),
-                          stage.tasks.data() + stage.tasks.size());
-    }
+    snapshot_.ResetTasks(grid_, t, stage.tasks.data(),
+                         stage.tasks.data() + stage.tasks.size());
   }
 
   out->period = t;
@@ -457,19 +418,18 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   // the strategy, the diagnostic and the assignment below all read.
   {
     obs::ScopedTimer graph_timer(m_graph_build_ns_);
-    snapshot.SetWorkers(period_workers_.data(),
-                        period_workers_.data() + period_workers_.size());
+    snapshot_.SetWorkers(period_workers_.data(),
+                         period_workers_.data() + period_workers_.size());
   }
   if (m_graph_builds_ != nullptr) {
     m_graph_builds_->Increment();
-    m_graph_edges_->Add(snapshot.graph().num_edges());
+    m_graph_edges_->Add(snapshot_.graph().num_edges());
   }
-  slot_bytes_[slot] = snapshot.FootprintBytes();
 
   // Price.
   const auto price_start = Clock::now();
-  MAPS_RETURN_NOT_OK(strategy_->PriceRound(snapshot, &prices_));
-  if (static_cast<int>(prices_.size()) != snapshot.num_grids()) {
+  MAPS_RETURN_NOT_OK(strategy_->PriceRound(snapshot_, &prices_));
+  if (static_cast<int>(prices_.size()) != snapshot_.num_grids()) {
     return Status::Internal(strategy_->name() +
                             " returned wrong price vector size");
   }
@@ -481,9 +441,9 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   // path), keeping this loop as cheap as the retired batch loop's.
   const bool has_observed_bits = !pending_accept_.empty();
   size_t consumed_bits = 0;
-  accepted_.assign(snapshot.tasks().size(), false);
-  for (size_t i = 0; i < snapshot.tasks().size(); ++i) {
-    const Task& task = snapshot.tasks()[i];
+  accepted_.assign(snapshot_.tasks().size(), false);
+  for (size_t i = 0; i < snapshot_.tasks().size(); ++i) {
+    const Task& task = snapshot_.tasks()[i];
     bool accepted = stage.valuations[i] >= prices_[task.grid];
     if (has_observed_bits) {
       const auto it = pending_accept_.find(task.id);
@@ -495,7 +455,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
     accepted_[i] = accepted;
     if (accepted) out->accepted.push_back(task.id);
   }
-  strategy_->ObserveFeedback(snapshot, prices_, accepted_);
+  strategy_->ObserveFeedback(snapshot_, prices_, accepted_);
   const auto price_end = Clock::now();
   strategy_seconds_ += Seconds(price_start, price_end);
   if (m_price_round_ns_ != nullptr) {
@@ -516,16 +476,16 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   // mc_seed + t so every (period, world) pair is an independent,
   // reproducible stream.
   if (options_.mc_worlds > 0 && options_.mc_oracle != nullptr &&
-      !snapshot.tasks().empty()) {
+      !snapshot_.tasks().empty()) {
     obs::ScopedTimer mc_timer(m_mc_diag_ns_);
     mc_priced_.clear();
-    for (const Task& task : snapshot.tasks()) {
+    for (const Task& task : snapshot_.tasks()) {
       const double p = prices_[task.grid];
       mc_priced_.push_back(PricedTask{
           task.distance, p, options_.mc_oracle->TrueAcceptRatio(task.grid, p)});
     }
     out->mc_expected_revenue = MonteCarloExpectedRevenue(
-        snapshot.graph(), mc_priced_,
+        snapshot_.graph(), mc_priced_,
         options_.mc_seed + static_cast<uint64_t>(t), options_.mc_worlds,
         options_.pool, &mc_workspaces_);
   }
@@ -534,21 +494,21 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   // Matching buffers are pooled across periods.
   {
     obs::ScopedTimer matching_timer(m_matching_ns_);
-    weights_.assign(snapshot.tasks().size(), -1.0);
-    for (size_t i = 0; i < snapshot.tasks().size(); ++i) {
+    weights_.assign(snapshot_.tasks().size(), -1.0);
+    for (size_t i = 0; i < snapshot_.tasks().size(); ++i) {
       if (!accepted_[i]) continue;
       weights_[i] =
-          snapshot.tasks()[i].distance * prices_[snapshot.tasks()[i].grid];
+          snapshot_.tasks()[i].distance * prices_[snapshot_.tasks()[i].grid];
     }
     // Called for the matching it leaves in match_ws_.inc; revenue needs
     // per-task attribution below, not the returned total.
-    (void)MaxWeightTaskMatchingValue(snapshot.graph(), weights_, &match_ws_);
+    (void)MaxWeightTaskMatchingValue(snapshot_.graph(), weights_, &match_ws_);
   }
   const Matching& period_matching = match_ws_.inc.matching();
 
   // Revenue and worker lifecycle updates.
   int32_t n_matched = 0;
-  for (size_t i = 0; i < snapshot.tasks().size(); ++i) {
+  for (size_t i = 0; i < snapshot_.tasks().size(); ++i) {
     const int r = period_matching.match_left[i];
     if (r == Matching::kUnmatched) continue;
     MAPS_DCHECK(accepted_[i]);
@@ -557,11 +517,11 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
     const int idx = pool_of_[r];
     WorkerRecord& rec = workers_[idx];
     out->matches.push_back(
-        MatchRecord{snapshot.tasks()[i].id, rec.base.id, weights_[i]});
+        MatchRecord{snapshot_.tasks()[i].id, rec.base.id, weights_[i]});
     if (single_use) {
       rec.consumed = true;
     } else {
-      const Task& task = snapshot.tasks()[i];
+      const Task& task = snapshot_.tasks()[i];
       const int32_t ride = std::max(
           1, static_cast<int32_t>(std::ceil(task.distance / speed)));
       rec.next_free = t + ride;
@@ -617,11 +577,9 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
     }
   }
 
-  // Platform footprint: BOTH slots of the snapshot double buffer (each
-  // holding its period's graph) + the lifecycle table. The other slot's
-  // bytes are the value from its own last finalize (capacities only grow),
-  // so a concurrent prebuild is never read.
-  const size_t platform_bytes = slot_bytes_[0] + slot_bytes_[1] +
+  // Platform footprint: the snapshot (holding the period's graph) + the
+  // lifecycle table.
+  const size_t platform_bytes = snapshot_.FootprintBytes() +
                                 workers_.capacity() * sizeof(WorkerRecord);
   peak_platform_bytes_ = std::max(peak_platform_bytes_, platform_bytes);
   peak_strategy_bytes_ =

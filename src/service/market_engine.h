@@ -2,11 +2,10 @@
 // out. A production deployment does not hand us a pre-materialized workload;
 // it streams task submissions, worker arrivals/departures, and acceptance
 // feedback, and asks for per-grid price quotes each period. The engine owns
-// everything the per-period loop needs: the double-buffered staged
-// MarketSnapshot pair, the lent ThreadPool, the strategy's
-// PriceRound/ObserveFeedback cycle, the max-weight matching step, the
-// worker-lifecycle state machine, and the optional Monte-Carlo
-// expected-revenue diagnostic.
+// everything the per-period loop needs: the period's MarketSnapshot, the
+// lent ThreadPool, the strategy's PriceRound/ObserveFeedback cycle, the
+// max-weight matching step, the worker-lifecycle state machine, and the
+// optional Monte-Carlo expected-revenue diagnostic.
 //
 // Event model (batch semantics of Sec. 2, made incremental):
 //   * Between two ClosePeriod() calls the engine has one OPEN period.
@@ -19,21 +18,19 @@
 //     decides (v >= price, the simulation path); a task with neither is
 //     treated as declined.
 //   * StageNextPeriodTasks() optionally seals the NEXT period's task set in
-//     bulk; with a pool and pipeline_periods this prebuilds that period's
-//     task-side snapshot concurrently with the current ClosePeriod() — the
-//     replay adapter's pipelining hook. Results are bit-identical with or
-//     without it (DESIGN.md §10/§11).
+//     bulk — the replay adapter's bulk-staging hook. ClosePeriod() builds
+//     the one snapshot from the staged tasks either way, so results are
+//     identical to submitting the same tasks one by one (DESIGN.md §11).
 //
 // RunSimulation (sim/simulator.h) is now a thin replay adapter that feeds a
 // Workload through exactly this API; the determinism contract (identical
-// events => bit-identical outcomes at any thread count, pipeline on/off) is
-// tested against it.
+// events => bit-identical outcomes at any thread count) is tested against
+// it.
 
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -98,15 +95,9 @@ struct EngineOptions {
   /// Ground-truth demand for the diagnostic. Non-owning; simulation-only —
   /// a live deployment has no oracle and leaves this null.
   const DemandOracle* mc_oracle = nullptr;
-  /// Overlap the next period's task-side snapshot build (bucketing +
-  /// distance prefix sums) with the current ClosePeriod() whenever the next
-  /// period was sealed via StageNextPeriodTasks(). Bit-identical to the
-  /// serial path for any thread count (DESIGN.md §10). No effect without a
-  /// pool.
-  bool pipeline_periods = true;
   /// Optional pool lent to the strategy (warm-up probe schedule, MAPS's
-  /// per-round maximizer precompute), used by the Monte-Carlo diagnostic,
-  /// and backing the period pipeline. Non-owning; must not be a pool whose
+  /// per-round maximizer precompute) and used by the Monte-Carlo
+  /// diagnostic. Non-owning; must not be a pool whose
   /// workers call into THIS engine (nested waits can deadlock). Results are
   /// bit-identical with or without it.
   ThreadPool* pool = nullptr;
@@ -262,7 +253,6 @@ class MarketEngine {
   ///        before the first ClosePeriod() — the engine never probes.
   MarketEngine(const GridPartition* grid, PricingStrategy* strategy,
                const EngineOptions& options = {});
-  ~MarketEngine();
 
   MarketEngine(const MarketEngine&) = delete;
   MarketEngine& operator=(const MarketEngine&) = delete;
@@ -277,9 +267,8 @@ class MarketEngine {
 
   /// Seals the NEXT period's task set in bulk (tasks are copied).
   /// `valuations` is either null or an array of end - begin hidden
-  /// valuations aligned with [begin, end). With a pool and
-  /// pipeline_periods, the task-side snapshot of that period starts
-  /// building concurrently with the current ClosePeriod().
+  /// valuations aligned with [begin, end). Its snapshot is built by that
+  /// period's ClosePeriod(), as for submitted tasks.
   Status StageNextPeriodTasks(const Task* begin, const Task* end,
                               const double* valuations);
 
@@ -313,8 +302,8 @@ class MarketEngine {
   /// position, rejection counters, a configuration fingerprint, and the
   /// strategy's learned state (PricingStrategy::SaveState) — into the
   /// versioned binary checkpoint format (DESIGN.md §12,
-  /// docs/checkpoint_format.md). Waits for in-flight snapshot prebuilds
-  /// first. Call between events; period boundaries (right after a
+  /// docs/checkpoint_format.md). Call between events; period boundaries
+  /// (right after a
   /// ClosePeriod) are the natural place and what the recovery harness
   /// exercises.
   Status SaveCheckpoint(std::string* out);
@@ -395,8 +384,8 @@ class MarketEngine {
   /// Cumulative wall time inside the strategy (PriceRound + acceptance +
   /// ObserveFeedback), the per-strategy cost the benches report.
   double strategy_seconds() const { return strategy_seconds_; }
-  /// Peak platform-side footprint: BOTH snapshot slots of the double
-  /// buffer (each with its period's graph) and the worker-lifecycle table.
+  /// Peak platform-side footprint: the snapshot (with its period's graph)
+  /// and the worker-lifecycle table.
   size_t peak_platform_bytes() const { return peak_platform_bytes_; }
   /// Peak strategy footprint observed across closed periods.
   size_t peak_strategy_bytes() const { return peak_strategy_bytes_; }
@@ -411,7 +400,7 @@ class MarketEngine {
     bool consumed = false;   // single-use worker already served a task
   };
 
-  /// Tasks buffered for one snapshot slot's period.
+  /// Tasks buffered for one period.
   struct Stage {
     std::vector<Task> tasks;
     std::vector<double> valuations;  // aligned; kNoValuation when unknown
@@ -435,21 +424,17 @@ class MarketEngine {
   /// Index of the worker a sharded-serving hook may act on (see the hooks'
   /// eligibility rule), or NotFound / FailedPrecondition.
   Status FindStitchableWorker(WorkerId id, int* idx) const;
-  void DrainPrebuilds();
 
   const GridPartition* grid_;
   PricingStrategy* strategy_;
   EngineOptions options_;
-  bool pipelined_ = false;
   int32_t period_ = 0;
 
-  // Double-buffered snapshot pair: period t lives in slot t & 1.
-  MarketSnapshot slots_[2];
+  // The period's snapshot, rebuilt by every ClosePeriod(). Task sets are
+  // staged by period parity: the open period t in stages_[t & 1], a
+  // bulk-staged period t + 1 in the other.
+  MarketSnapshot snapshot_;
   Stage stages_[2];
-  std::unique_ptr<internal::Latch> prebuild_latch_[2];
-  // Per-slot footprint as of each slot's last finalize, so the accounting
-  // never reads a slot a prebuild job may be writing.
-  size_t slot_bytes_[2] = {0, 0};
 
   // Worker lifecycle (the simulator's former per-period state machine).
   std::vector<WorkerRecord> workers_;

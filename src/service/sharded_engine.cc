@@ -56,7 +56,6 @@ ShardedMarketEngine::ShardedMarketEngine(
     // Region engines run serially inside: the lent pool parallelizes
     // ACROSS regions only, which keeps every region close bit-identical to
     // its serial self and the whole close trivially race-free.
-    // (Without a pool, MarketEngine also turns pipelining off.)
     EngineOptions region_options = options_;
     region_options.pool = nullptr;
     // Regions inherit the registry (order-independent counter sums) but
@@ -1013,8 +1012,11 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
   for (int k = 0; k < num_regions; ++k) {
     const Status s = regions_[k]->RestoreFromCheckpoint(region_blobs[k]);
     if (!s.ok()) {
-      return roll_back(Status::InvalidArgument(
-          "restoring region " + std::to_string(k) + ": " + s.message()));
+      // Keep the region's code: a strategy-type mismatch is
+      // FailedPrecondition, corruption InvalidArgument.
+      return roll_back(Status(
+          s.code(), "restoring region " + std::to_string(k) + ": " +
+                        s.message()));
     }
     if (regions_[k]->current_period() != period) {
       return roll_back(Status::InvalidArgument(

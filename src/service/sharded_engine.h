@@ -53,8 +53,8 @@
 namespace maps {
 
 /// \brief K-region sharded serving engine; same event surface as
-/// MarketEngine (bulk staging and pipelining excepted — regions prebuild
-/// nothing). Not thread-safe: one logical event stream, like the monolith.
+/// MarketEngine (bulk staging excepted). Not thread-safe: one logical event
+/// stream, like the monolith.
 class ShardedMarketEngine {
  public:
   /// \param grid the full city partition (regions price over the full
@@ -66,7 +66,7 @@ class ShardedMarketEngine {
   ///        learned state identical — see DESIGN.md §13). Non-owning.
   /// \param options lifecycle/MC knobs as for MarketEngine. `options.pool`
   ///        parallelizes ACROSS regions (each region engine runs serially
-  ///        inside); `pipeline_periods` is ignored.
+  ///        inside).
   ShardedMarketEngine(const GridPartition* grid,
                       const RegionPartition* partition,
                       std::vector<PricingStrategy*> strategies,
@@ -107,9 +107,10 @@ class ShardedMarketEngine {
   /// must be configured like the saver — same grid, same K and band
   /// layout, same lifecycle, same per-region strategy types — or the
   /// restore fails with FailedPrecondition. All-or-nothing: a damaged
-  /// container is rejected before any region is touched, and a region blob
-  /// its engine rejects, or a worker owner table the restored regions
-  /// disagree with, is InvalidArgument after every region is rolled back.
+  /// container is rejected before any region is touched. A region blob its
+  /// engine rejects fails with that engine's code, prefixed "restoring
+  /// region k: ", and a worker owner table the restored regions disagree
+  /// with is InvalidArgument; both after every region is rolled back.
   Status RestoreFromCheckpoint(const std::string& data);
 
   /// Merged counters: this layer's routing rejections plus every region's.

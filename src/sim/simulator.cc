@@ -70,8 +70,8 @@ Result<SimulationResult> RunSimulation(const Workload& workload,
   const Task* task_base = workload.tasks.data();
   const double* val_base = workload.valuations.data();
 
-  // Replay: stage period 0, then per period stage t+1 (prebuilt on the
-  // pool when pipelining), admit the period's workers, and close.
+  // Replay: submit period 0, then per period bulk-stage t+1, admit the
+  // period's workers, and close.
   if (workload.num_periods > 0) {
     for (size_t i = task_range[0].first; i < task_range[0].second; ++i) {
       MAPS_RETURN_NOT_OK(engine.SubmitTask(task_base[i], val_base[i]));

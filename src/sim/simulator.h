@@ -5,8 +5,8 @@
 // accumulates the per-period outcomes. The per-period mechanics (pricing,
 // acceptance draw, max-weight matching, worker lifecycle, MC diagnostic)
 // live in the engine; identical (workload, strategy, options) runs are
-// bit-identical to the former batch loop at any thread count, pipeline on
-// or off (tested in tests/service/market_engine_test.cc).
+// bit-identical to the former batch loop at any thread count (tested in
+// tests/service/market_engine_test.cc).
 
 #pragma once
 
@@ -35,8 +35,7 @@ struct SimOptions {
   /// Skip the strategy Warmup() call (for pre-warmed strategies).
   bool skip_warmup = false;
   /// Online-engine knobs shared with live deployments: the Monte-Carlo
-  /// diagnostic (mc_worlds/mc_seed), the period pipeline
-  /// (pipeline_periods), and the lent pool. See EngineOptions.
+  /// diagnostic (mc_worlds/mc_seed) and the lent pool. See EngineOptions.
   EngineOptions engine;
 };
 
@@ -64,8 +63,8 @@ struct SimulationResult {
   double pricing_time_sec = 0.0;
   /// warmup + pricing: the per-strategy cost reported by the benches.
   double total_time_sec = 0.0;
-  /// Peak strategy footprint plus the platform share: matching graph, BOTH
-  /// snapshot slots of the engine's double buffer, and the worker table.
+  /// Peak strategy footprint plus the platform share: the engine's snapshot
+  /// (with the period's matching graph) and the worker table.
   size_t memory_bytes = 0;
   int64_t num_tasks = 0;
   int64_t num_accepted = 0;

@@ -63,9 +63,9 @@ TEST_F(MarketSnapshotTest, DistancePrefixSumsDescending) {
 }
 
 TEST_F(MarketSnapshotTest, StagedConstructionMatchesOneShot) {
-  // The simulator's pipeline builds snapshots in two stages and reuses one
-  // slot across many periods; every derived index must match a fresh
-  // one-shot snapshot of the same market exactly.
+  // The engine builds its snapshot in two stages and reuses it across
+  // many periods; every derived index must match a fresh one-shot snapshot
+  // of the same market exactly.
   std::vector<Task> tasks = {MakeTask(0, {1, 1}, 2.0),
                              MakeTask(1, {2, 2}, 1.0),
                              MakeTask(2, {8, 8}, 3.0)};

@@ -54,9 +54,10 @@ TEST(OracleSearchTest, BeatsEveryManualAssignment) {
   }
 }
 
-TEST(OracleSearchTest, BuildsTheGraphExactlyOnce) {
+TEST(OracleSearchTest, ReadsTheSnapshotGraphWithoutBuilding) {
   // The graph depends only on geometry, never on prices; the odometer loop
-  // over price combinations must reuse one build instead of one per combo.
+  // over price combinations reads the snapshot's graph, which the snapshot
+  // built once at construction, before the counter is read.
   auto grid = GridPartition::Make(Rect{0, 0, 20, 10}, 1, 2).ValueOrDie();
   DemandOracle oracle = TableOneOracle(2);
   std::vector<Task> tasks = {MakeTask(grid, 0, {2, 5}, 1.5),
@@ -70,8 +71,8 @@ TEST(OracleSearchTest, BuildsTheGraphExactlyOnce) {
   const int64_t before = BipartiteGraph::TotalBuildCount();
   ASSERT_TRUE(OracleSearch(snap, oracle, ladder).ok());
   const int64_t builds = BipartiteGraph::TotalBuildCount() - before;
-  // 2 busy grids x 3 rungs = 9 price combinations, but exactly one build.
-  EXPECT_EQ(builds, 1);
+  // 2 busy grids x 3 rungs = 9 price combinations, and no build at all.
+  EXPECT_EQ(builds, 0);
 }
 
 TEST(OracleSearchTest, PoolBackedSearchIsBitIdenticalAcrossThreadCounts) {
@@ -130,9 +131,9 @@ TEST(OracleSearchTest, PoolSurvivesReuseAcrossInvocations) {
   EXPECT_EQ(first.grid_prices, second.grid_prices);
 }
 
-TEST(OracleSearchTest, PoolBackedSearchBuildsTheGraphExactlyOnce) {
+TEST(OracleSearchTest, PoolBackedSearchReadsTheSnapshotGraph) {
   // Sharding the odometer must not reintroduce per-combination (or even
-  // per-shard) graph builds.
+  // per-shard) graph builds: every shard reads the snapshot's graph.
   auto grid = GridPartition::Make(Rect{0, 0, 20, 10}, 1, 2).ValueOrDie();
   DemandOracle oracle = TableOneOracle(2);
   std::vector<Task> tasks = {MakeTask(grid, 0, {2, 5}, 1.5),
@@ -146,7 +147,7 @@ TEST(OracleSearchTest, PoolBackedSearchBuildsTheGraphExactlyOnce) {
   ThreadPool pool(4);
   const int64_t before = BipartiteGraph::TotalBuildCount();
   ASSERT_TRUE(OracleSearch(snap, oracle, ladder, &pool).ok());
-  EXPECT_EQ(BipartiteGraph::TotalBuildCount() - before, 1);
+  EXPECT_EQ(BipartiteGraph::TotalBuildCount() - before, 0);
 }
 
 TEST(OracleSearchTest, RefusesOversizedInstances) {

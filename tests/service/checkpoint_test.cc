@@ -413,6 +413,62 @@ TEST(EngineCheckpointTest, RejectsConfigurationMismatch) {
   EXPECT_TRUE(st.IsFailedPrecondition());
 }
 
+/// The strategy section is decoded last, and its trailing-bytes check runs
+/// after LoadState has replaced the strategy's state. A payload with one
+/// extra byte (CRC resealed, so only that check can catch it) must leave
+/// the whole engine — its strategy included — exactly as it was.
+TEST(EngineCheckpointTest, StrategySectionTrailingByteLeavesEngineUnchanged) {
+  EngineFixture fixture(/*advance=*/false);
+  ASSERT_TRUE(fixture.strategy->Warmup(fixture.grid, &fixture.oracle).ok());
+  MarketEngine& engine = *fixture.engine;
+  PeriodOutcome outcome;
+  const auto drive_to = [&](int32_t end) {
+    for (int32_t t = engine.current_period(); t < end; ++t) {
+      for (int i = 0; i < 3; ++i) {
+        Worker w = MakeWorker(fixture.grid, t * 3 + i,
+                              {5.0 + 7 * i, 5.0 + 2 * t}, 20.0);
+        w.duration = 6;
+        ASSERT_TRUE(engine.AddWorker(w).ok());
+      }
+      for (int i = 0; i < 4; ++i) {
+        const Task task =
+            MakeTask(fixture.grid, t * 4 + i, {4.0 + 6 * i, 20.0}, 9.0);
+        ASSERT_TRUE(engine.SubmitTask(task, 3.0).ok());
+      }
+      ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
+    }
+  };
+  drive_to(3);
+  std::string blob;
+  ASSERT_TRUE(engine.SaveCheckpoint(&blob).ok());
+  drive_to(10);
+  std::string before;
+  ASSERT_TRUE(engine.SaveCheckpoint(&before).ok());
+
+  std::vector<std::string> sections;
+  ASSERT_TRUE(internal::ParseCheckpointContainer(
+                  blob, kCheckpointMagic, kCheckpointFormatVersion,
+                  kCheckpointNumSections, "MAPS checkpoint", &sections)
+                  .ok());
+  sections.back().push_back('\0');  // the strategy section
+  StateWriter resealed;
+  resealed.PutBytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+  resealed.PutU32(kCheckpointFormatVersion);
+  resealed.PutU32(kCheckpointNumSections);
+  for (size_t i = 0; i < sections.size(); ++i) {
+    internal::AppendCheckpointSection(static_cast<uint32_t>(i + 1),
+                                      sections[i], &resealed);
+  }
+
+  const Status st = engine.RestoreFromCheckpoint(resealed.data());
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("trailing"), std::string::npos)
+      << st.ToString();
+  std::string after;
+  ASSERT_TRUE(engine.SaveCheckpoint(&after).ok());
+  EXPECT_TRUE(after == before) << "a rejected restore changed the state";
+}
+
 /// Satellite 3: the seeded corruption fuzzer. Every truncation or bit flip
 /// must fail with a clean Status and leave the target engine bit-unchanged,
 /// verified by comparing its own checkpoint bytes before and after.

@@ -8,6 +8,7 @@
 
 #include "../invariants.h"
 #include "../test_util.h"
+#include "obs/metrics.h"
 #include "pricing/maps.h"
 #include "sim/beijing.h"
 #include "sim/simulator.h"
@@ -72,11 +73,10 @@ struct Trace {
   }
 };
 
-Trace SimulatorTrace(const Workload& w, ThreadPool* pool, bool pipeline) {
+Trace SimulatorTrace(const Workload& w, ThreadPool* pool) {
   RecordingStrategy strategy(std::make_unique<Maps>(MapsOptions{}));
   SimOptions options;
   options.collect_per_period = true;
-  options.engine.pipeline_periods = pipeline;
   options.engine.pool = pool;
   auto r = RunSimulation(w, &strategy, options).ValueOrDie();
   Trace trace;
@@ -94,14 +94,13 @@ Trace SimulatorTrace(const Workload& w, ThreadPool* pool, bool pipeline) {
 
 /// Feeds the workload through the raw event API — the same events the
 /// replay adapter produces, but hand-rolled so the test is independent of
-/// the adapter's implementation. `stage_next` exercises the bulk-staging /
-/// pipelined path; otherwise every task goes through SubmitTask.
+/// the adapter's implementation. `stage_next` exercises the bulk-staging
+/// path; otherwise every task goes through SubmitTask.
 Trace EngineTrace(const Workload& w, ThreadPool* pool, bool stage_next) {
   RecordingStrategy strategy(std::make_unique<Maps>(MapsOptions{}));
   EngineOptions options;
   options.lifecycle = w.lifecycle;
   options.pool = pool;
-  options.pipeline_periods = true;
   MarketEngine engine(&w.grid, &strategy, options);
   // Same warm-up stream the simulator defaults to (SimOptions default 7).
   DemandOracle history = w.oracle.Fork(7);
@@ -190,12 +189,13 @@ Workload BeijingCase() {
 
 /// The tentpole contract: RunSimulation and hand-fed engine events produce
 /// bit-identical prices, per-period outcomes, and revenue on synthetic and
-/// Beijing workloads, across no-pool/1/2/8 threads, pipeline on and off.
+/// Beijing workloads, across no-pool/1/2/8 threads, staged and submit-only
+/// feeds.
 TEST(EnginePoolBackedTest, EventFeedMatchesSimulatorBitIdentical) {
   for (const bool beijing : {false, true}) {
     const Workload w = beijing ? BeijingCase() : SyntheticCase();
     SCOPED_TRACE(beijing ? "beijing" : "synthetic");
-    const Trace baseline = SimulatorTrace(w, nullptr, false);
+    const Trace baseline = SimulatorTrace(w, nullptr);
     ASSERT_GT(baseline.total_revenue, 0.0);
     ASSERT_FALSE(baseline.prices.empty());
 
@@ -204,12 +204,10 @@ TEST(EnginePoolBackedTest, EventFeedMatchesSimulatorBitIdentical) {
         << "no pool, bulk staging";
     for (int threads : {1, 2, 8}) {
       ThreadPool pool(threads);
-      EXPECT_TRUE(SimulatorTrace(w, &pool, true) == baseline)
-          << threads << " threads, sim pipelined";
-      EXPECT_TRUE(SimulatorTrace(w, &pool, false) == baseline)
-          << threads << " threads, sim pipeline off";
+      EXPECT_TRUE(SimulatorTrace(w, &pool) == baseline)
+          << threads << " threads, sim";
       EXPECT_TRUE(EngineTrace(w, &pool, true) == baseline)
-          << threads << " threads, engine staged (pipelined)";
+          << threads << " threads, engine staged";
       EXPECT_TRUE(EngineTrace(w, &pool, false) == baseline)
           << threads << " threads, engine submit-only";
     }
@@ -240,6 +238,43 @@ class FixedPriceStrategy : public PricingStrategy {
 
 GridPartition OneCellGrid() {
   return GridPartition::Make(Rect{0, 0, 10, 10}, 1, 1).ValueOrDie();
+}
+
+/// A pooled engine fed bulk-staged periods puts no job on the pool when
+/// neither the strategy nor the MC diagnostic asks for one: staging only
+/// seals the batch, and ClosePeriod builds the period's snapshot inline.
+TEST(EnginePoolBackedTest, StagedFeedSubmitsNoPoolWork) {
+  const GridPartition grid = OneCellGrid();
+  FixedPriceStrategy fixed(1.0);
+  obs::MetricsRegistry registry;
+  ThreadPool pool(2);
+  pool.AttachMetrics(&registry);
+  EngineOptions options;
+  options.pool = &pool;
+  options.mc_worlds = 0;
+  MarketEngine engine(&grid, &fixed, options);
+  ASSERT_TRUE(engine.AddWorker(MakeWorker(grid, 0, {5, 5}, 5.0, 0)).ok());
+
+  PeriodOutcome outcome;
+  for (int32_t t = 0; t < 4; ++t) {
+    const std::vector<Task> next = {
+        MakeTask(grid, 2 * t, {5, 5}, 2.0, t + 1),
+        MakeTask(grid, 2 * t + 1, {5, 6}, 1.0, t + 1)};
+    const double valuations[] = {9.0, 0.5};
+    ASSERT_TRUE(engine
+                    .StageNextPeriodTasks(next.data(),
+                                          next.data() + next.size(),
+                                          valuations)
+                    .ok());
+    ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
+  }
+  EXPECT_EQ(fixed.rounds(), 4);
+  EXPECT_EQ(outcome.num_tasks, 2);  // the staged batches arrived
+  EXPECT_EQ(registry
+                .GetCounter("pool.tasks_submitted",
+                            obs::Determinism::kWallClock)
+                ->value(),
+            0);
 }
 
 TEST(MarketEngineTest, RemoveWorkerStopsServingFromNextClose) {

@@ -5,7 +5,7 @@
 // — prices, accepted ids, match assignments, revenue, and the Monte-Carlo
 // expected-revenue diagnostic — to the uninterrupted run. The matrix covers
 // synthetic and Beijing workloads, no-pool / 1 / 2 / 8 pool threads, and
-// pipelined (bulk-staged) vs submit-only feeds.
+// bulk-staged vs submit-only feeds.
 
 #include <gtest/gtest.h>
 
@@ -167,24 +167,20 @@ struct Feed {
   }
 };
 
-EngineOptions MakeOptions(const Workload& w, ThreadPool* pool,
-                          bool pipeline) {
+EngineOptions MakeOptions(const Workload& w, ThreadPool* pool) {
   EngineOptions options;
   options.lifecycle = w.lifecycle;
   options.pool = pool;
-  options.pipeline_periods = pipeline;
   options.mc_worlds = 4;  // exercise the MC diagnostic through the restore
   options.mc_oracle = &w.oracle;
   return options;
 }
 
 /// The uninterrupted run, checkpointing at boundary `save_at`.
-std::vector<Row> Baseline(const Feed& feed, ThreadPool* pool, bool pipeline,
-                          bool stage_next, int32_t save_at,
-                          std::string* blob) {
+std::vector<Row> Baseline(const Feed& feed, ThreadPool* pool, bool stage_next,
+                          int32_t save_at, std::string* blob) {
   RecordingStrategy strategy(std::make_unique<Maps>(MapsOptions{}));
-  MarketEngine engine(&feed.w->grid, &strategy,
-                      MakeOptions(*feed.w, pool, pipeline));
+  MarketEngine engine(&feed.w->grid, &strategy, MakeOptions(*feed.w, pool));
   DemandOracle history = feed.w->oracle.Fork(7);
   EXPECT_TRUE(strategy.Warmup(feed.w->grid, &history).ok());
   std::vector<Row> rows;
@@ -195,11 +191,10 @@ std::vector<Row> Baseline(const Feed& feed, ThreadPool* pool, bool pipeline,
 
 /// The crash-recovery run: a fresh engine and a NEVER-warmed fresh strategy
 /// rebuilt purely from the checkpoint bytes, resuming the remaining feed.
-std::vector<Row> Resume(const Feed& feed, ThreadPool* pool, bool pipeline,
-                        bool stage_next, const std::string& blob) {
+std::vector<Row> Resume(const Feed& feed, ThreadPool* pool, bool stage_next,
+                        const std::string& blob) {
   RecordingStrategy strategy(std::make_unique<Maps>(MapsOptions{}));
-  MarketEngine engine(&feed.w->grid, &strategy,
-                      MakeOptions(*feed.w, pool, pipeline));
+  MarketEngine engine(&feed.w->grid, &strategy, MakeOptions(*feed.w, pool));
   EXPECT_TRUE(engine.RestoreFromCheckpoint(blob).ok());
   std::vector<Row> rows;
   feed.Run(&engine, &strategy, stage_next, engine.current_period(),
@@ -237,8 +232,8 @@ Workload BeijingCase() {
 }
 
 /// The acceptance matrix: kill/restore at a mid-horizon boundary on both
-/// workloads, across no-pool/1/2/8 threads and pipeline on/off, resumes
-/// bit-identically.
+/// workloads, across no-pool/1/2/8 threads and staged/submit-only feeds,
+/// resumes bit-identically.
 TEST(RecoveryHarnessTest, RestoreAtBoundaryResumesBitIdentical) {
   for (const bool beijing : {false, true}) {
     SCOPED_TRACE(beijing ? "beijing" : "synthetic");
@@ -248,7 +243,7 @@ TEST(RecoveryHarnessTest, RestoreAtBoundaryResumesBitIdentical) {
 
     std::string blob;
     const std::vector<Row> baseline =
-        Baseline(feed, nullptr, false, false, save_at, &blob);
+        Baseline(feed, nullptr, false, save_at, &blob);
     ASSERT_FALSE(baseline.empty());
     ASSERT_FALSE(blob.empty());
     const std::vector<Row> tail = TailOf(baseline, save_at);
@@ -260,22 +255,22 @@ TEST(RecoveryHarnessTest, RestoreAtBoundaryResumesBitIdentical) {
     }
     ASSERT_GT(mc_max, 0.0);
 
-    EXPECT_TRUE(Resume(feed, nullptr, false, false, blob) == tail)
+    EXPECT_TRUE(Resume(feed, nullptr, false, blob) == tail)
         << "no pool, submit-only";
-    EXPECT_TRUE(Resume(feed, nullptr, false, true, blob) == tail)
+    EXPECT_TRUE(Resume(feed, nullptr, true, blob) == tail)
         << "no pool, bulk staging";
     for (const int threads : {1, 2, 8}) {
       ThreadPool pool(threads);
-      EXPECT_TRUE(Resume(feed, &pool, true, true, blob) == tail)
-          << threads << " threads, staged + pipelined";
-      EXPECT_TRUE(Resume(feed, &pool, false, false, blob) == tail)
-          << threads << " threads, submit-only, pipeline off";
+      EXPECT_TRUE(Resume(feed, &pool, true, blob) == tail)
+          << threads << " threads, bulk staging";
+      EXPECT_TRUE(Resume(feed, &pool, false, blob) == tail)
+          << threads << " threads, submit-only";
     }
   }
 }
 
 /// Adversarial boundaries: right after the first close, and right before
-/// the last. Also crosses checkpoint producers: a pipelined pool-backed
+/// the last. Also crosses checkpoint producers: a staged pool-backed
 /// baseline's checkpoint restores into a no-pool engine and vice versa.
 TEST(RecoveryHarnessTest, AdversarialBoundariesAndCrossConfigRestore) {
   const Workload w = SyntheticCase();
@@ -286,23 +281,22 @@ TEST(RecoveryHarnessTest, AdversarialBoundariesAndCrossConfigRestore) {
     SCOPED_TRACE(save_at);
     std::string blob;
     const std::vector<Row> baseline =
-        Baseline(feed, &pool, true, true, save_at, &blob);
+        Baseline(feed, &pool, true, save_at, &blob);
     const std::vector<Row> tail = TailOf(baseline, save_at);
     ASSERT_FALSE(blob.empty());
 
     // The staged baseline checkpoint carries a sealed next-period stage;
     // both a pool-backed and a no-pool engine must resume identically.
-    EXPECT_TRUE(Resume(feed, &pool, true, true, blob) == tail);
-    EXPECT_TRUE(Resume(feed, nullptr, false, true, blob) == tail);
+    EXPECT_TRUE(Resume(feed, &pool, true, blob) == tail);
+    EXPECT_TRUE(Resume(feed, nullptr, true, blob) == tail);
   }
 
   // And a no-pool submit-only checkpoint resumes under a pool.
   std::string blob;
   const std::vector<Row> baseline =
-      Baseline(feed, nullptr, false, false, 7, &blob);
+      Baseline(feed, nullptr, false, 7, &blob);
   ThreadPool pool8(8);
-  EXPECT_TRUE(Resume(feed, &pool8, true, false, blob) ==
-              TailOf(baseline, 7));
+  EXPECT_TRUE(Resume(feed, &pool8, false, blob) == TailOf(baseline, 7));
 }
 
 }  // namespace

@@ -43,6 +43,7 @@ EngineOptions TurnaroundOptions() {
   return options;
 }
 
+template <typename Strategy = CellLocalStrategy>
 Deployment MakeDeployment(int rows, int k, const EngineOptions& options) {
   Deployment d;
   d.grid = std::make_unique<GridPartition>(
@@ -51,7 +52,7 @@ Deployment MakeDeployment(int rows, int k, const EngineOptions& options) {
       RegionPartition::Make(*d.grid, k).ValueOrDie());
   std::vector<PricingStrategy*> raw;
   for (int i = 0; i < k; ++i) {
-    d.strategies.push_back(std::make_unique<CellLocalStrategy>());
+    d.strategies.push_back(std::make_unique<Strategy>());
     raw.push_back(d.strategies.back().get());
   }
   d.engine = std::make_unique<ShardedMarketEngine>(
@@ -206,6 +207,43 @@ TEST(ShardedRecoveryTest, DifferentLifecycleIsFailedPrecondition) {
   Deployment other = MakeDeployment(4, 2, single_use);
   EXPECT_EQ(other.engine->RestoreFromCheckpoint(checkpoint).code(),
             StatusCode::kFailedPrecondition);
+}
+
+/// CellLocalStrategy under another name: a deployment configured like the
+/// saver in everything but its per-region strategy type.
+class OtherNameStrategy : public CellLocalStrategy {
+ public:
+  std::string name() const override { return "OtherTest"; }
+};
+
+TEST(ShardedRecoveryTest, DifferentStrategyTypeIsFailedPrecondition) {
+  const EngineOptions options = TurnaroundOptions();
+  Deployment original = MakeDeployment(4, 2, options);
+  PeriodOutcome out;
+  for (int32_t t = 0; t < 3; ++t) {
+    ASSERT_TRUE(DriveScriptedPeriod(*original.grid, original.engine.get(), t,
+                                    &out)
+                    .ok());
+  }
+  std::string checkpoint;
+  ASSERT_TRUE(original.engine->SaveCheckpoint(&checkpoint).ok());
+
+  Deployment other = MakeDeployment<OtherNameStrategy>(4, 2, options);
+  for (int32_t t = 0; t < 2; ++t) {  // non-trivial state of its own
+    ASSERT_TRUE(
+        DriveScriptedPeriod(*other.grid, other.engine.get(), t, &out).ok());
+  }
+  std::string before;
+  ASSERT_TRUE(other.engine->SaveCheckpoint(&before).ok());
+
+  const Status restore = other.engine->RestoreFromCheckpoint(checkpoint);
+  EXPECT_EQ(restore.code(), StatusCode::kFailedPrecondition)
+      << restore.ToString();
+  EXPECT_EQ(restore.message().rfind("restoring region 0: ", 0), 0u)
+      << restore.ToString();
+  std::string after;
+  ASSERT_TRUE(other.engine->SaveCheckpoint(&after).ok());
+  EXPECT_TRUE(after == before) << "a rejected restore changed the state";
 }
 
 TEST(ShardedRecoveryTest, MonolithicCheckpointIsRejected) {

@@ -363,7 +363,7 @@ TEST(SimulatorTest, StrategySeesEveryNonEmptyPeriod) {
 }
 
 // ---------------------------------------------------------------------------
-// Period pipeline (PR 4): the double-buffered snapshot prebuild must be
+// Pool-backed runs (the replay adapter bulk-stages each next period) must be
 // bit-identical to the serial path at every thread count, per-period.
 // ---------------------------------------------------------------------------
 
@@ -385,13 +385,11 @@ struct RunDigest {
   }
 };
 
-RunDigest RunMapsSimulation(const Workload& w, ThreadPool* pool,
-                            bool pipeline) {
+RunDigest RunMapsSimulation(const Workload& w, ThreadPool* pool) {
   MapsOptions opts;
   Maps strategy(opts);
   SimOptions options;
   options.collect_per_period = true;
-  options.engine.pipeline_periods = pipeline;
   options.engine.pool = pool;
   auto r = RunSimulation(w, &strategy, options).ValueOrDie();
   RunDigest digest;
@@ -417,21 +415,19 @@ TEST(SimulatorPoolBackedTest, PipelinedPeriodsBitIdenticalAcrossThreads) {
   Workload w = GenerateSynthetic(cfg).ValueOrDie();
   w.lifecycle.reposition_prob = 0.3;  // exercise the sequential RNG too
 
-  const RunDigest serial = RunMapsSimulation(w, nullptr, false);
+  const RunDigest serial = RunMapsSimulation(w, nullptr);
   ASSERT_GT(serial.total_revenue, 0.0);
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    EXPECT_TRUE(RunMapsSimulation(w, &pool, true) == serial)
-        << threads << " threads, pipeline on";
-    EXPECT_TRUE(RunMapsSimulation(w, &pool, false) == serial)
-        << threads << " threads, pipeline off";
+    EXPECT_TRUE(RunMapsSimulation(w, &pool) == serial)
+        << threads << " threads";
   }
 }
 
 TEST(SimulatorPoolBackedTest, PipelineHandlesEmptyAndSkippedPeriods) {
   // Sparse horizon: most periods have no tasks, several have no workers
-  // either (skipped entirely); the prebuild of a skipped period's slot must
-  // not leak into later periods.
+  // either (skipped entirely); the snapshot a skipped period leaves behind
+  // must not leak into later periods.
   Workload w = TinyWorkload({5.0, 5.0, 5.0});
   w.num_periods = 6;
   FixedPriceStrategy serial_s(2.0), pooled_s(2.0);
@@ -442,7 +438,6 @@ TEST(SimulatorPoolBackedTest, PipelineHandlesEmptyAndSkippedPeriods) {
   ThreadPool pool(2);
   SimOptions pooled_opts = serial_opts;
   pooled_opts.engine.pool = &pool;
-  pooled_opts.engine.pipeline_periods = true;
   auto pooled = RunSimulation(w, &pooled_s, pooled_opts).ValueOrDie();
 
   EXPECT_DOUBLE_EQ(pooled.total_revenue, serial.total_revenue);
@@ -455,13 +450,12 @@ TEST(SimulatorPoolBackedTest, PipelineHandlesEmptyAndSkippedPeriods) {
   }
 }
 
-TEST(SimulatorTest, MemoryBytesCountsBothSnapshotSlotsAndIsStable) {
-  // The engine double-buffers snapshots by period parity, so the platform
-  // footprint must cover BOTH slots — the even-period slot holding 100
-  // tasks AND the odd-period slot holding 80 — not just the strategy plus
-  // whichever slot closed last (the pre-fix accounting). And like the
-  // strategy-side peak_round_bytes guard, repeated identical runs must
-  // report the identical peak.
+TEST(SimulatorTest, MemoryBytesCountsTheSnapshotAndIsStable) {
+  // The engine rebuilds one snapshot per period, reusing its storage, so
+  // the peak platform footprint must cover the larger period's 100 tasks
+  // even though the 80-task period closed last. And like the
+  // strategy-side peak_round_bytes guard, repeated identical runs — and a
+  // pooled run — must report the identical peak.
   auto grid = GridPartition::Make(Rect{0, 0, 10, 10}, 1, 1).ValueOrDie();
   Workload w(grid, testing_util::TableOneOracle(1));
   w.num_periods = 2;
@@ -474,9 +468,7 @@ TEST(SimulatorTest, MemoryBytesCountsBothSnapshotSlotsAndIsStable) {
 
   FixedPriceStrategy f1(2.0);
   auto r1 = RunSimulation(w, &f1).ValueOrDie();
-  // Both parity slots' task copies alone exceed the larger slot, so an
-  // accounting that forgets the other slot cannot reach this bound.
-  EXPECT_GE(r1.memory_bytes, 180 * sizeof(Task));
+  EXPECT_GE(r1.memory_bytes, 100 * sizeof(Task));
 
   FixedPriceStrategy f2(2.0);
   auto r2 = RunSimulation(w, &f2).ValueOrDie();
@@ -484,13 +476,12 @@ TEST(SimulatorTest, MemoryBytesCountsBothSnapshotSlotsAndIsStable) {
       << "identical runs must report the identical peak";
 
   ThreadPool pool(2);
-  SimOptions pipelined;
-  pipelined.engine.pool = &pool;
-  pipelined.engine.pipeline_periods = true;
+  SimOptions pooled;
+  pooled.engine.pool = &pool;
   FixedPriceStrategy f3(2.0);
-  auto r3 = RunSimulation(w, &f3, pipelined).ValueOrDie();
+  auto r3 = RunSimulation(w, &f3, pooled).ValueOrDie();
   EXPECT_EQ(r3.memory_bytes, r1.memory_bytes)
-      << "the pipeline reuses the same double buffer";
+      << "a pool adds no snapshot";
 }
 
 }  // namespace

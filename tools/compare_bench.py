@@ -4,9 +4,9 @@
 Usage:
   compare_bench.py OLD.json NEW.json [--threshold 0.25] [--keys k1,k2,...]
 
-Compares ns_per_op for every tracked key present in BOTH files (keys only
-in NEW are reported as new, keys only in OLD as retired; neither fails the
-run). Exits 1 when any tracked key regressed by more than --threshold
+Compares ns_per_op for every tracked key present in BOTH files (tracked
+keys only in NEW are reported as new; any key only in OLD, tracked or not,
+is reported as retired; neither fails the run). Exits 1 when any tracked key regressed by more than --threshold
 (fractional; 0.25 = 25% slower), which is what the CI bench-smoke job gates
 on. Scale mismatches between the two files make per-op times incomparable,
 so the comparison is skipped (exit 0) with a notice.
@@ -20,8 +20,7 @@ import json
 import sys
 
 # Keys gated by default: the stable hot-path trajectory. Pool-backed keys
-# (*_pooled, *_sharded, *_pipelined — e.g. engine_period_pipelined) default
-# to ungated because their ns_per_op depends on the runner's core count,
+# (*_pooled, *_sharded — e.g. oracle_search_pooled) default to ungated because their ns_per_op depends on the runner's core count,
 # which differs between CI hosts; pass --keys to gate them on fixed
 # hardware.
 DEFAULT_KEYS = [
@@ -132,6 +131,9 @@ def main():
         return 0
 
     keys = [k for k in args.keys.split(",") if k]
+    # A bench entry the new run no longer emits is listed as retired even
+    # when untracked, so removing one shows in the diff instead of vanishing.
+    keys += sorted(k for k in old if k not in new and k not in keys)
     failures = []
     print(f"{'key':32} {'old ns/op':>14} {'new ns/op':>14} {'ratio':>8}")
     for key in keys:

@@ -23,13 +23,6 @@
 //   --mc_worlds    Monte-Carlo worlds per period for the expected-revenue
 //                  diagnostic column (counter-streamed, thread-count
 //                  independent; 0 = off, the default)
-//   --pipeline_periods  give every cell a second, cell-side pool that backs
-//                  the simulator's period pipeline, the strategy's sharded
-//                  round work, and the MC diagnostic (default 1). The
-//                  matrix pool is never lent into a cell — its workers run
-//                  the cells themselves and nested waits could deadlock —
-//                  so within-cell parallelism gets its own pool; results
-//                  are bit-identical either way
 //   --out          JSON output path (default experiments.json)
 //   --csv_dir      also write <experiment>.csv per experiment ("" disables;
 //                  default: MAPS_BENCH_CSV_DIR env, else disabled)
@@ -37,7 +30,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -73,7 +65,7 @@ struct ExperimentRun {
 Result<ExperimentRun> RunExperiment(
     const ExperimentSpec& spec,
     const std::vector<StrategyFactory>& strategies, ThreadPool* pool,
-    ThreadPool* cell_pool, int mc_worlds, bool pipeline_periods) {
+    ThreadPool* cell_pool, int mc_worlds) {
   ExperimentRun run;
   run.name = spec.name;
   run.x_name = spec.x_name;
@@ -120,9 +112,8 @@ Result<ExperimentRun> RunExperiment(
                   // runs on the separate cell pool, whose workers never
                   // wait on the matrix pool. All cell-side parallelism is
                   // bit-identical to the serial path by the DESIGN.md
-                  // §8/§10 policy.
+                  // §8 policy.
                   options.engine.mc_worlds = mc_worlds;
-                  options.engine.pipeline_periods = pipeline_periods;
                   options.engine.pool = cell_pool;
                   auto result = RunSimulation(workloads[cell.point],
                                               strategy.get(), options);
@@ -159,13 +150,12 @@ Table RunToTable(const ExperimentRun& run,
 Status WriteJson(const std::string& path,
                  const std::vector<ExperimentRun>& runs,
                  const std::vector<StrategyFactory>& strategies, int threads,
-                 double scale, int mc_worlds, bool pipeline_periods) {
+                 double scale, int mc_worlds) {
   std::ofstream out(path);
   if (!out) return Status::Internal("cannot open " + path + " for writing");
-  out << "{\n  \"schema\": \"maps-experiment-runner-v3\",\n"
+  out << "{\n  \"schema\": \"maps-experiment-runner-v4\",\n"
       << "  \"threads\": " << threads << ",\n  \"scale\": " << scale
       << ",\n  \"mc_worlds\": " << mc_worlds
-      << ",\n  \"pipeline_periods\": " << (pipeline_periods ? "true" : "false")
       << ",\n  \"experiments\": [\n";
   for (size_t e = 0; e < runs.size(); ++e) {
     const ExperimentRun& run = runs[e];
@@ -223,7 +213,6 @@ int Main(int argc, char** argv) {
     std::cerr << "--mc_worlds must be >= 0\n";
     return 2;
   }
-  const bool pipeline_periods = flags.GetBool("pipeline_periods", true);
   const std::string out_path = flags.GetString("out", "experiments.json");
   const char* csv_env = std::getenv("MAPS_BENCH_CSV_DIR");
   const std::string csv_dir =
@@ -256,20 +245,19 @@ int Main(int argc, char** argv) {
   }
 
   ThreadPool pool(threads);
-  // Cell-side pool for the period pipeline / sharded strategy work: its
-  // workers only ever run cell-submitted jobs and never wait on the matrix
-  // pool, so the two pools cannot deadlock each other (see RunExperiment).
-  std::optional<ThreadPool> cell_pool;
-  if (pipeline_periods) cell_pool.emplace(threads);
+  // Cell-side pool for the strategy's sharded work and the MC diagnostic:
+  // its workers only ever run cell-submitted jobs and never wait on the
+  // matrix pool, so the two pools cannot deadlock each other (see
+  // RunExperiment).
+  ThreadPool cell_pool(threads);
   const auto strategies = DefaultStrategies(ExperimentPricing());
   std::vector<ExperimentRun> runs;
   for (const ExperimentSpec& spec : specs) {
     std::cout << "[experiment_runner] running " << spec.name << " ("
               << spec.points.size() << " points x " << strategies.size()
               << " strategies, " << threads << " threads)\n";
-    auto run = RunExperiment(spec, strategies, &pool,
-                             cell_pool ? &*cell_pool : nullptr, mc_worlds,
-                             pipeline_periods);
+    auto run =
+        RunExperiment(spec, strategies, &pool, &cell_pool, mc_worlds);
     if (!run.ok()) {
       std::cerr << spec.name << ": " << run.status() << "\n";
       return 1;
@@ -288,7 +276,7 @@ int Main(int argc, char** argv) {
   }
 
   Status st = WriteJson(out_path, runs, strategies, threads, registry.scale,
-                        mc_worlds, pipeline_periods);
+                        mc_worlds);
   if (!st.ok()) {
     std::cerr << st << "\n";
     return 1;

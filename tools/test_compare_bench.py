@@ -123,19 +123,27 @@ class CompareBenchTest(unittest.TestCase):
         self.assertIn("no-data", out)
 
     def test_untracked_keys_never_gate(self):
-        # engine_period_pipelined is pool-backed and ungated by default.
+        # oracle_search_pooled is pool-backed and ungated by default.
         old = bench_doc({"maps_price_round": 1000.0,
-                         "engine_period_pipelined": 100.0})
+                         "oracle_search_pooled": 100.0})
         new = bench_doc({"maps_price_round": 1000.0,
-                         "engine_period_pipelined": 9000.0})
+                         "oracle_search_pooled": 9000.0})
         code, _ = self.run_main(old, new)
         self.assertEqual(code, 0)
 
+    def test_untracked_key_removed_from_new_is_reported_retired(self):
+        old = bench_doc({"maps_price_round": 1000.0,
+                         "engine_period_pipelined": 100.0})
+        new = bench_doc({"maps_price_round": 1000.0})
+        code, out = self.run_main(old, new)
+        self.assertEqual(code, 0)
+        self.assertRegex(out, r"engine_period_pipelined\s.*retired")
+
     def test_explicit_keys_override_the_default_set(self):
-        old = bench_doc({"engine_period_pipelined": 100.0})
-        new = bench_doc({"engine_period_pipelined": 9000.0})
+        old = bench_doc({"oracle_search_pooled": 100.0})
+        new = bench_doc({"oracle_search_pooled": 9000.0})
         code, _ = self.run_main(old, new,
-                                ["--keys", "engine_period_pipelined"])
+                                ["--keys", "oracle_search_pooled"])
         self.assertEqual(code, 1)
 
     def test_zero_old_time_regression_is_infinite_ratio(self):
