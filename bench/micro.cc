@@ -18,6 +18,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "graph/bipartite_graph.h"
@@ -329,17 +330,15 @@ void BM_EnginePeriod(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePeriod)->Range(256, 4096)->Complexity();
 
-void BM_ShardedEnginePeriod(benchmark::State& state) {
-  // A 4096-task single-period burst served by a K-region
-  // ShardedMarketEngine (range(0) = K). The workload uses the multi-region
-  // generator shape (even band load, wide spatial spread) and BaseP's
-  // constant posted price, so acceptance — and with it the max-weight
-  // matching load — is stable across iterations; the matching core is the
-  // superlinear term the band split exists to shrink. K=1 is the sharded
-  // router in front of one region (pure routing overhead over the
-  // monolith); K>1 additionally closes the regions concurrently when the
-  // host has cores to offer.
-  const int num_regions = static_cast<int>(state.range(0));
+// A 4096-task single-period burst served by a K-region ShardedMarketEngine.
+// The workload uses the multi-region generator shape (even band load, wide
+// spatial spread) and BaseP's constant posted price, so acceptance — and
+// with it the max-weight matching load — is stable across iterations; the
+// matching core is the superlinear term the band split exists to shrink.
+// With `failure_domains` every close first saves each region's restore
+// point (DESIGN.md §15).
+void RunShardedEnginePeriod(benchmark::State& state, int num_regions,
+                            bool failure_domains) {
   const int tasks_n = 4096;
   SyntheticConfig cfg;
   cfg.num_tasks = tasks_n;
@@ -370,6 +369,7 @@ void BM_ShardedEnginePeriod(benchmark::State& state) {
   engine_options.lifecycle.single_use = false;
   engine_options.lifecycle.speed = 1e12;  // rides finish in one period
   if (num_regions > 1) engine_options.pool = &pool;
+  engine_options.failure_domains.enabled = failure_domains;
   ShardedMarketEngine engine(&w.grid, &partition, strategies, engine_options);
   for (const Worker& worker : w.workers) {
     if (!engine.AddWorker(worker).ok()) {
@@ -392,7 +392,22 @@ void BM_ShardedEnginePeriod(benchmark::State& state) {
     benchmark::DoNotOptimize(outcome.revenue);
   }
 }
+
+void BM_ShardedEnginePeriod(benchmark::State& state) {
+  // range(0) = K. K=1 is the sharded router in front of one region (pure
+  // routing overhead over the monolith); K>1 additionally closes the
+  // regions concurrently when the host has cores to offer.
+  RunShardedEnginePeriod(state, static_cast<int>(state.range(0)),
+                         /*failure_domains=*/false);
+}
 BENCHMARK(BM_ShardedEnginePeriod)->Arg(1)->Arg(2)->Arg(4);
+
+void BM_ShardedEnginePeriodFd(benchmark::State& state) {
+  // K=2 with failure domains on and no faults: the healthy close plus one
+  // restore-point save per region.
+  RunShardedEnginePeriod(state, 2, /*failure_domains=*/true);
+}
+BENCHMARK(BM_ShardedEnginePeriodFd);
 
 // ---------------------------------------------------------------------------
 // BENCH_micro.json: machine-readable per-op ns and peak bytes for the three
@@ -966,14 +981,10 @@ bool EmitTrackedJson(const std::string& path) {
       results.push_back(r);
     }
 
-    // Degraded serving: the same K=2 burst market with failure domains on
-    // and a seeded coin-flip close failure on region 1 (~half the closes
-    // quarantine it, the other half recover and drain the deferral queue).
-    // ns_per_op averages the quarantine close (rewind + deferral sweep +
-    // cached-quote serving) and the recovery close (resubmission) — the
-    // price of staying up through a region fault, gated against the
-    // healthy sharded_engine_period_k2 trajectory.
-    {
+    // The same K=2 burst market with failure domains on, under `fault_plan`
+    // (none when null), recorded as tracked row `name`.
+    const auto run_k2_fd = [&](const char* name,
+                               const char* fault_plan) -> bool {
       const RegionPartition partition =
           RegionPartition::Make(w.grid, 2).ValueOrDie();
       PricingConfig pricing_config;
@@ -1002,10 +1013,11 @@ bool EmitTrackedJson(const std::string& path) {
       for (const Worker& worker : w.workers) {
         if (!engine.AddWorker(worker).ok()) std::abort();
       }
-      ScopedFaultPlan plan("seed=42;close_fail@r1~0.5");
+      std::optional<ScopedFaultPlan> plan;
+      if (fault_plan != nullptr) plan.emplace(fault_plan);
       PeriodOutcome outcome;
       TrackedResult r;
-      r.name = "sharded_engine_period_degraded";
+      r.name = name;
       r.problem_size = tasks_n;
       r.ns_per_op = TimeOp(
           [&] {
@@ -1019,6 +1031,23 @@ bool EmitTrackedJson(const std::string& path) {
           &r.iterations);
       r.peak_bytes = engine.peak_platform_bytes() + engine.peak_strategy_bytes();
       results.push_back(r);
+      return true;
+    };
+
+    // Healthy failure-domain serving: no faults, so ns_per_op over the
+    // sharded_engine_period_k2 row is the cost of the per-close
+    // restore-point save of every region (DESIGN.md §15).
+    if (!run_k2_fd("sharded_engine_period_fd", nullptr)) return false;
+
+    // Degraded serving: a seeded coin-flip close failure on region 1 (~half
+    // the closes quarantine it, the other half recover and drain the
+    // deferral queue). ns_per_op averages the quarantine close (rewind +
+    // deferral sweep + cached-quote serving) and the recovery close
+    // (resubmission) — the price of staying up through a region fault,
+    // gated against the healthy sharded_engine_period_k2 trajectory.
+    if (!run_k2_fd("sharded_engine_period_degraded",
+                   "seed=42;close_fail@r1~0.5")) {
+      return false;
     }
   }
 

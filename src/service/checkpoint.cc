@@ -46,12 +46,20 @@ enum SectionId : uint32_t {
 
 namespace internal {
 
-void AppendCheckpointSection(uint32_t id, const std::string& payload,
-                             StateWriter* out) {
+size_t BeginCheckpointSection(uint32_t id, StateWriter* out) {
+  const size_t header_at = out->size();
   out->PutU32(id);
-  out->PutU64(payload.size());
-  out->PutU32(Crc32(payload.data(), payload.size()));
-  out->PutBytes(payload.data(), payload.size());
+  out->PutU64(0);  // payload length, patched by EndCheckpointSection
+  out->PutU32(0);  // payload CRC-32, likewise
+  return header_at;
+}
+
+void EndCheckpointSection(size_t header_at, StateWriter* out) {
+  const size_t payload_at = header_at + 16;
+  const size_t len = out->size() - payload_at;
+  out->OverwriteU64(header_at + 4, len);
+  out->OverwriteU32(header_at + 12,
+                    Crc32(out->data().data() + payload_at, len));
 }
 
 Status ParseCheckpointContainer(const std::string& data, const char* magic,
@@ -408,87 +416,101 @@ Status PruneCheckpointFiles(const std::string& dir, const std::string& prefix,
 
 Status MarketEngine::SaveCheckpoint(std::string* out) {
   if (out == nullptr) return Status::InvalidArgument("null output string");
+  StateWriter blob;
+  MAPS_RETURN_NOT_OK(AppendCheckpoint(&blob));
+  *out = blob.Release();
+  return Status::OK();
+}
+
+Status MarketEngine::AppendCheckpoint(StateWriter* out) {
+  if (out == nullptr) return Status::InvalidArgument("null output writer");
   obs::ScopedTimer save_timer(m_ckpt_save_ns_);
+  const size_t blob_at = out->size();
+  out->Reserve(blob_at + internal::CheckpointReserveBytes(
+                             checkpoint_bytes_hint_));
+  // Every section is encoded straight into `out`; see
+  // internal::BeginCheckpointSection.
+  out->PutBytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+  out->PutU32(kCheckpointFormatVersion);
+  out->PutU32(kCheckpointNumSections);
 
-  StateWriter config;
-  internal::PutGridFingerprint(*grid_, &config);
-  internal::PutLifecycleFingerprint(options_.lifecycle, &config);
-  config.PutString(strategy_->name());
+  size_t section = internal::BeginCheckpointSection(kSectionConfig, out);
+  internal::PutGridFingerprint(*grid_, out);
+  internal::PutLifecycleFingerprint(options_.lifecycle, out);
+  out->PutString(strategy_->name());
+  internal::EndCheckpointSection(section, out);
 
-  StateWriter core;
-  core.PutI32(period_);
-  internal::PutRejectionCounters(rejections_, &core);
+  section = internal::BeginCheckpointSection(kSectionCore, out);
+  out->PutI32(period_);
+  internal::PutRejectionCounters(rejections_, out);
+  internal::EndCheckpointSection(section, out);
 
-  StateWriter workers;
-  workers.PutU64(workers_.size());
+  section = internal::BeginCheckpointSection(kSectionWorkers, out);
+  // indexed: the id still resolves to this record. False only for the
+  // tombstones ExtractIdleWorker leaves behind (the id may meanwhile
+  // belong to a newer record of this same engine). One pass over the
+  // index, which holds only the live ids, instead of a lookup per record.
+  std::vector<char> indexed(workers_.size(), 0);
+  for (const auto& [id, idx] : worker_index_) indexed[idx] = 1;
+  out->PutU64(workers_.size());
   for (size_t i = 0; i < workers_.size(); ++i) {
     const WorkerRecord& rec = workers_[i];
-    workers.PutI64(rec.base.id);
-    workers.PutI32(rec.base.period);
-    workers.PutDouble(rec.base.location.x);
-    workers.PutDouble(rec.base.location.y);
-    workers.PutDouble(rec.base.radius);
-    workers.PutI32(rec.base.duration);
-    workers.PutI32(rec.base.grid);
-    workers.PutI32(rec.next_free);
-    workers.PutI32(rec.retire_at);
-    workers.PutBool(rec.consumed);
-    // indexed: the id still resolves to this record. False only for the
-    // tombstones ExtractIdleWorker leaves behind (the id may meanwhile
-    // belong to a newer record of this same engine).
-    const auto idx_it = worker_index_.find(rec.base.id);
-    workers.PutBool(idx_it != worker_index_.end() &&
-                    idx_it->second == static_cast<int>(i));
+    out->PutI64(rec.base.id);
+    out->PutI32(rec.base.period);
+    out->PutDouble(rec.base.location.x);
+    out->PutDouble(rec.base.location.y);
+    out->PutDouble(rec.base.radius);
+    out->PutI32(rec.base.duration);
+    out->PutI32(rec.base.grid);
+    out->PutI32(rec.next_free);
+    out->PutI32(rec.retire_at);
+    out->PutBool(rec.consumed);
+    out->PutBool(indexed[i] != 0);
   }
-  workers.PutU64(idle_.size());
-  for (int idx : idle_) workers.PutI32(idx);
+  out->PutU64(idle_.size());
+  for (int idx : idle_) out->PutI32(idx);
   // The busy heap is drained in its deterministic pop order — ascending
   // (next_free, index) — which is the only property ClosePeriod observes;
   // the restore re-pushes the entries.
   auto busy_copy = busy_;
-  workers.PutU64(busy_copy.size());
+  out->PutU64(busy_copy.size());
   while (!busy_copy.empty()) {
-    workers.PutI32(busy_copy.top().first);
-    workers.PutI32(busy_copy.top().second);
+    out->PutI32(busy_copy.top().first);
+    out->PutI32(busy_copy.top().second);
     busy_copy.pop();
   }
+  internal::EndCheckpointSection(section, out);
 
-  StateWriter stage_w;
+  section = internal::BeginCheckpointSection(kSectionStages, out);
   for (const Stage& stage : stages_) {
-    stage_w.PutBool(stage.sealed);
-    stage_w.PutU64(stage.tasks.size());
-    for (const Task& task : stage.tasks) internal::PutTask(task, &stage_w);
+    out->PutBool(stage.sealed);
+    out->PutU64(stage.tasks.size());
+    for (const Task& task : stage.tasks) internal::PutTask(task, out);
     // Aligned with tasks by the SubmitTask/StageNextPeriodTasks contract.
-    for (double v : stage.valuations) stage_w.PutDouble(v);
+    for (double v : stage.valuations) out->PutDouble(v);
   }
+  internal::EndCheckpointSection(section, out);
 
-  StateWriter pending;
-  internal::PutAcceptanceBits(pending_accept_, &pending);
+  section = internal::BeginCheckpointSection(kSectionPending, out);
+  internal::PutAcceptanceBits(pending_accept_, out);
+  internal::EndCheckpointSection(section, out);
 
-  StateWriter rng;
-  for (uint64_t word : reposition_rng_.SaveState()) rng.PutU64(word);
+  section = internal::BeginCheckpointSection(kSectionRng, out);
+  for (uint64_t word : reposition_rng_.SaveState()) out->PutU64(word);
+  internal::EndCheckpointSection(section, out);
 
-  StateWriter strategy;
-  MAPS_RETURN_NOT_OK(strategy_->SaveState(&strategy));
+  section = internal::BeginCheckpointSection(kSectionStrategy, out);
+  MAPS_RETURN_NOT_OK(strategy_->SaveState(out));
+  internal::EndCheckpointSection(section, out);
 
-  StateWriter blob;
-  blob.PutBytes(kCheckpointMagic, sizeof(kCheckpointMagic));
-  blob.PutU32(kCheckpointFormatVersion);
-  blob.PutU32(kCheckpointNumSections);
-  internal::AppendCheckpointSection(kSectionConfig, config.data(), &blob);
-  internal::AppendCheckpointSection(kSectionCore, core.data(), &blob);
-  internal::AppendCheckpointSection(kSectionWorkers, workers.data(), &blob);
-  internal::AppendCheckpointSection(kSectionStages, stage_w.data(), &blob);
-  internal::AppendCheckpointSection(kSectionPending, pending.data(), &blob);
-  internal::AppendCheckpointSection(kSectionRng, rng.data(), &blob);
-  internal::AppendCheckpointSection(kSectionStrategy, strategy.data(), &blob);
-  *out = blob.data();
+  const size_t blob_bytes = out->size() - blob_at;
+  checkpoint_bytes_hint_ = blob_bytes;
   if (m_ckpt_bytes_ != nullptr) {
-    m_ckpt_bytes_->Record(static_cast<int64_t>(out->size()));
+    m_ckpt_bytes_->Record(static_cast<int64_t>(blob_bytes));
   }
   if (options_.trace != nullptr) {
     options_.trace->Emit(obs::TraceEvent::Kind::kCheckpointWritten, period_,
-                         /*region=*/-1, static_cast<int64_t>(out->size()), "");
+                         /*region=*/-1, static_cast<int64_t>(blob_bytes), "");
   }
   return Status::OK();
 }

@@ -62,10 +62,20 @@ inline constexpr uint32_t kShardedCheckpointFormatVersion = 2;
 
 namespace internal {
 
-/// Appends one container section — u32 id, u64 payload length, u32
-/// CRC-32(payload), payload bytes — to a blob under construction.
-void AppendCheckpointSection(uint32_t id, const std::string& payload,
-                             StateWriter* out);
+/// Opens one container section — u32 id, u64 payload length, u32
+/// CRC-32(payload), payload bytes — in place at the end of a blob under
+/// construction: writes the header with a zero length and checksum and
+/// returns its offset. The caller then appends the payload to `out`
+/// directly, and EndCheckpointSection patches both fields over it, so no
+/// payload is ever copied.
+size_t BeginCheckpointSection(uint32_t id, StateWriter* out);
+void EndCheckpointSection(size_t header_at, StateWriter* out);
+
+/// Reserve size for a blob whose previous save was `last_bytes` long:
+/// a little slack, so a blob that grows between saves is not reallocated.
+inline size_t CheckpointReserveBytes(size_t last_bytes) {
+  return last_bytes + last_bytes / 16;
+}
 
 /// Validates a container's structure — `magic` (8 bytes), `version`,
 /// exactly `num_sections` sections in ascending id order 1..N, every

@@ -308,6 +308,11 @@ class MarketEngine {
   /// exercises.
   Status SaveCheckpoint(std::string* out);
 
+  /// SaveCheckpoint's bytes appended to `out`: how a sharded container
+  /// embeds each region's blob without copying it. On failure `out` may
+  /// end in a partial blob and must be discarded.
+  Status AppendCheckpoint(StateWriter* out);
+
   /// Rebuilds engine state from SaveCheckpoint bytes. The engine must be
   /// configured identically to the saver (same grid partition, worker
   /// lifecycle, and strategy type/config — fingerprint-checked); the
@@ -466,6 +471,9 @@ class MarketEngine {
   double strategy_seconds_ = 0.0;
   size_t peak_platform_bytes_ = 0;
   size_t peak_strategy_bytes_ = 0;
+  // Size of the last checkpoint blob: the next save reserves that much
+  // (plus slack) up front instead of growing its buffer by doubling.
+  size_t checkpoint_bytes_hint_ = 0;
 
   // Observability handles (DESIGN.md §16), resolved once at construction;
   // all null when options.metrics is null so every site is one branch.

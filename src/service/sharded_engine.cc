@@ -801,58 +801,62 @@ Status ShardedMarketEngine::SaveCheckpoint(std::string* out) {
     }
   }
 
-  StateWriter part;
-  internal::PutGridFingerprint(*grid_, &part);
-  part.PutI32(num_regions);
-  for (int k = 0; k < num_regions; ++k) {
-    part.PutI32(partition_->row_begin(k));
-  }
-  internal::PutLifecycleFingerprint(options_.lifecycle, &part);
-
-  StateWriter routing;
-  routing.PutI32(period_);
-  internal::PutRejectionCounters(local_rejections_, &routing);
-  routing.PutI64(local_rejections_.deferred_tasks);  // v2
-  routing.PutI64(next_seq_);
-  const std::vector<std::pair<WorkerId, int>> owners = WorkerOwners();
-  routing.PutU64(owners.size());
-  for (const auto& [id, k] : owners) {
-    routing.PutI64(id);
-    routing.PutI32(k);
-  }
-  const std::vector<const TaskRoute*> routes = RoutesInOrder(/*k=*/-1);
-  routing.PutU64(routes.size());
-  for (const TaskRoute* route : routes) {
-    routing.PutI64(route->seq);
-    routing.PutI32(route->region);
-    internal::PutTask(route->task, &routing);
-    routing.PutDouble(route->valuation);  // v2
-  }
-  internal::PutAcceptanceBits(pending_accept_, &routing);
-  for (const std::vector<double>& prices : region_prices_) {
-    routing.PutU64(prices.size());
-    for (double p : prices) routing.PutDouble(p);
-  }
-
-  StateWriter regions;
-  regions.PutU32(static_cast<uint32_t>(num_regions));
-  for (const auto& region : regions_) {
-    std::string blob;
-    MAPS_RETURN_NOT_OK(region->SaveCheckpoint(&blob));
-    regions.PutString(blob);
-  }
-
+  // Sections are encoded in place (internal::BeginCheckpointSection), and
+  // each region appends its blob straight into the regions section.
   StateWriter blob;
+  blob.Reserve(internal::CheckpointReserveBytes(checkpoint_bytes_hint_));
   blob.PutBytes(kShardedCheckpointMagic, sizeof(kShardedCheckpointMagic));
   blob.PutU32(kShardedCheckpointFormatVersion);
   blob.PutU32(kNumShardedSections);
-  internal::AppendCheckpointSection(kShardedSectionPartition, part.data(),
-                                    &blob);
-  internal::AppendCheckpointSection(kShardedSectionRouting, routing.data(),
-                                    &blob);
-  internal::AppendCheckpointSection(kShardedSectionRegions, regions.data(),
-                                    &blob);
-  *out = blob.data();
+
+  size_t section =
+      internal::BeginCheckpointSection(kShardedSectionPartition, &blob);
+  internal::PutGridFingerprint(*grid_, &blob);
+  blob.PutI32(num_regions);
+  for (int k = 0; k < num_regions; ++k) {
+    blob.PutI32(partition_->row_begin(k));
+  }
+  internal::PutLifecycleFingerprint(options_.lifecycle, &blob);
+  internal::EndCheckpointSection(section, &blob);
+
+  section = internal::BeginCheckpointSection(kShardedSectionRouting, &blob);
+  blob.PutI32(period_);
+  internal::PutRejectionCounters(local_rejections_, &blob);
+  blob.PutI64(local_rejections_.deferred_tasks);  // v2
+  blob.PutI64(next_seq_);
+  const std::vector<std::pair<WorkerId, int>> owners = WorkerOwners();
+  blob.PutU64(owners.size());
+  for (const auto& [id, k] : owners) {
+    blob.PutI64(id);
+    blob.PutI32(k);
+  }
+  const std::vector<const TaskRoute*> routes = RoutesInOrder(/*k=*/-1);
+  blob.PutU64(routes.size());
+  for (const TaskRoute* route : routes) {
+    blob.PutI64(route->seq);
+    blob.PutI32(route->region);
+    internal::PutTask(route->task, &blob);
+    blob.PutDouble(route->valuation);  // v2
+  }
+  internal::PutAcceptanceBits(pending_accept_, &blob);
+  for (const std::vector<double>& prices : region_prices_) {
+    blob.PutU64(prices.size());
+    for (double p : prices) blob.PutDouble(p);
+  }
+  internal::EndCheckpointSection(section, &blob);
+
+  section = internal::BeginCheckpointSection(kShardedSectionRegions, &blob);
+  blob.PutU32(static_cast<uint32_t>(num_regions));
+  for (const auto& region : regions_) {
+    // The u64 length prefix of a PutString, patched once the blob is in.
+    const size_t length_at = blob.size();
+    blob.PutU64(0);
+    MAPS_RETURN_NOT_OK(region->AppendCheckpoint(&blob));
+    blob.OverwriteU64(length_at, blob.size() - length_at - 8);
+  }
+  internal::EndCheckpointSection(section, &blob);
+  checkpoint_bytes_hint_ = blob.size();
+  *out = blob.Release();
   if (options_.trace != nullptr) {
     options_.trace->Emit(obs::TraceEvent::Kind::kCheckpointWritten, period_,
                          /*region=*/-1, static_cast<int64_t>(out->size()), "");

@@ -224,6 +224,9 @@ class ShardedMarketEngine {
   /// Last posted prices per region (full grid vector): a region that skips
   /// a period re-posts its cached quotes into the merged price vector.
   std::vector<std::vector<double>> region_prices_;
+  /// Size of the last SaveCheckpoint container, reserved (plus slack) by
+  /// the next one.
+  size_t checkpoint_bytes_hint_ = 0;
 
   // Failure-domain state (empty shells when disabled).
   std::vector<RegionDomain> domains_;

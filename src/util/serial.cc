@@ -6,36 +6,72 @@ namespace maps {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// Slicing-by-8 tables: kCrc32.t[0] is the classic byte-at-a-time table, and
+// kCrc32.t[k][b] is the CRC contribution of byte b followed by k zero
+// bytes, so one step folds eight input bytes with eight lookups.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+    tables.t[0][i] = c;
+  }
+  for (int k = 1; k < 8; ++k) {
     for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      entries[i] = c;
+      const uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xff];
     }
   }
-};
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32 = MakeCrc32Tables();
+
+// Byte-order independent; compilers fuse it into one load on
+// little-endian targets.
+inline uint32_t LoadLittleEndian32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+template <typename U>
+void OverwriteLittleEndian(std::string* buf, size_t offset, U v) {
+  for (size_t i = 0; i < sizeof(U); ++i) {
+    (*buf)[offset + i] = static_cast<char>(v >> (8 * i));
+  }
+}
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
-  static const Crc32Table table;
   const uint8_t* p = static_cast<const uint8_t*>(data);
+  const auto& t = kCrc32.t;
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table.entries[(c ^ p[i]) & 0xff] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = c ^ LoadLittleEndian32(p);
+    const uint32_t hi = LoadLittleEndian32(p + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
 
-void StateWriter::PutDouble(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
+void StateWriter::OverwriteU32(size_t offset, uint32_t v) {
+  OverwriteLittleEndian(&buf_, offset, v);
+}
+
+void StateWriter::OverwriteU64(size_t offset, uint64_t v) {
+  OverwriteLittleEndian(&buf_, offset, v);
 }
 
 void StateWriter::PutString(const std::string& s) {

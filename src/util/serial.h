@@ -9,9 +9,12 @@
 
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 
 #include "util/status.h"
 
@@ -19,33 +22,58 @@ namespace maps {
 
 /// \brief CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `len`
 /// bytes. Pass a previous result as `seed` to checksum incrementally.
+/// Computed eight bytes per step (slicing-by-8); the value is the classic
+/// byte-at-a-time one.
 uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
 
 /// \brief Appends little-endian fields to an in-memory buffer. Writing is
-/// infallible; the buffer grows as needed.
+/// infallible; the buffer grows as needed. Each field is one append of its
+/// assembled bytes.
 class StateWriter {
  public:
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void PutU32(uint32_t v) { PutLittleEndian(v, 4); }
-  void PutU64(uint64_t v) { PutLittleEndian(v, 8); }
+  void PutU32(uint32_t v) { PutLittleEndian(v); }
+  void PutU64(uint64_t v) { PutLittleEndian(v); }
   void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
   /// Bit-pattern encoding: every double (NaN payloads included) survives a
   /// round trip exactly.
-  void PutDouble(double v);
+  void PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
   /// u64 byte length followed by the raw bytes.
   void PutString(const std::string& s);
   void PutBytes(const void* data, size_t len);
 
+  /// Rewrites the u32 / u64 field already written at byte `offset` (a
+  /// length or checksum known only once what follows it is written).
+  void OverwriteU32(size_t offset, uint32_t v);
+  void OverwriteU64(size_t offset, uint64_t v);
+
+  /// Grows the buffer's capacity to at least `bytes` up front.
+  void Reserve(size_t bytes) { buf_.reserve(bytes); }
+
   const std::string& data() const { return buf_; }
   size_t size() const { return buf_.size(); }
+  /// Hands the encoded bytes over without copying; the writer is left
+  /// empty.
+  std::string Release() {
+    std::string out = std::move(buf_);
+    buf_.clear();
+    return out;
+  }
 
  private:
-  void PutLittleEndian(uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  template <typename U>
+  void PutLittleEndian(U v) {
+    char bytes[sizeof(U)];
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(bytes, &v, sizeof(U));
+    } else {
+      for (size_t i = 0; i < sizeof(U); ++i) {
+        bytes[i] = static_cast<char>(v >> (8 * i));
+      }
     }
+    buf_.append(bytes, sizeof(U));
   }
 
   std::string buf_;

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,9 +26,12 @@
 #include "../test_util.h"
 #include "geo/region_partition.h"
 #include "rng/random.h"
+#include "service/checkpoint.h"
 #include "service/market_engine.h"
 #include "service/sharded_engine.h"
 #include "sharded_test_util.h"
+#include "util/fault_injector.h"
+#include "util/serial.h"
 
 namespace maps {
 namespace {
@@ -304,6 +308,194 @@ TEST(CheckpointGoldenTest, ShardedBlobRestoresAndResavesIdentically) {
   std::vector<CellLocalStrategy> strategies;
   auto restored = make_engine(&strategies);
   ExpectGoldenRoundTrip(restored.get(), FromHex(kShardedHex));
+}
+
+
+// --- Failure-domain restore points -----------------------------------------
+//
+// The two fixtures above pin one small blob each. The engine save path also
+// runs once per region per close as the failure-domain restore point, over
+// record tables with tombstones, ride heaps and both stage slots. This test
+// pins those bytes as one FNV-1a digest over every region save (and every
+// sharded container) of a seeded K=2 run with a close-fail plan, so an
+// encoder change that alters any byte of any section fails here. The scenario's coverage is checked by decoding
+// the blobs, so a scenario edit cannot silently drop a case.
+
+constexpr uint64_t kFailureDomainSavesDigest = 0xdea21bbf5a9ab818ULL;
+
+/// What the decoded region blobs showed, accumulated over the run.
+struct SaveCoverage {
+  bool tombstone_shares_live_id = false;  // unindexed record, id also live
+  bool busy_equal_next_free = false;      // two busy entries, same period
+  bool both_stages = false;               // tasks staged in both slots
+  bool pending_bits = false;              // explicit acceptance bits
+};
+
+void NoteCoverage(const std::string& blob, SaveCoverage* cov) {
+  std::vector<std::string> sections;
+  ASSERT_TRUE(internal::ParseCheckpointContainer(
+                  blob, kCheckpointMagic, kCheckpointFormatVersion,
+                  kCheckpointNumSections, "region blob", &sections)
+                  .ok());
+  {  // Worker section: records, idle list, busy heap in pop order.
+    StateReader r(sections[2]);
+    uint64_t n = 0;
+    ASSERT_TRUE(r.GetU64(&n).ok());
+    std::set<int64_t> live, tombstones;
+    for (uint64_t i = 0; i < n; ++i) {
+      int64_t id = 0;
+      std::string skip(44, '\0');
+      bool consumed = false, indexed = false;
+      ASSERT_TRUE(r.GetI64(&id).ok());
+      ASSERT_TRUE(r.GetBytes(&skip[0], skip.size()).ok());
+      ASSERT_TRUE(r.GetBool(&consumed).ok());
+      ASSERT_TRUE(r.GetBool(&indexed).ok());
+      (indexed ? live : tombstones).insert(id);
+    }
+    for (int64_t id : tombstones) {
+      if (live.count(id) > 0) cov->tombstone_shares_live_id = true;
+    }
+    uint64_t idle_n = 0, busy_n = 0;
+    ASSERT_TRUE(r.GetU64(&idle_n).ok());
+    for (uint64_t i = 0; i < idle_n; ++i) {
+      int32_t idx = 0;
+      ASSERT_TRUE(r.GetI32(&idx).ok());
+    }
+    ASSERT_TRUE(r.GetU64(&busy_n).ok());
+    int32_t prev = -1;
+    for (uint64_t i = 0; i < busy_n; ++i) {
+      int32_t next_free = 0, idx = 0;
+      ASSERT_TRUE(r.GetI32(&next_free).ok());
+      ASSERT_TRUE(r.GetI32(&idx).ok());
+      if (i > 0 && next_free == prev) cov->busy_equal_next_free = true;
+      prev = next_free;
+    }
+    ASSERT_TRUE(r.ExpectEnd().ok());
+  }
+  {  // Stage section: sealed flag, task count, tasks, valuations per slot.
+    StateReader r(sections[3]);
+    int staged_slots = 0;
+    for (int s = 0; s < 2; ++s) {
+      bool sealed = false;
+      uint64_t n = 0;
+      ASSERT_TRUE(r.GetBool(&sealed).ok());
+      ASSERT_TRUE(r.GetU64(&n).ok());
+      std::string skip(static_cast<size_t>(n) * (56 + 8), '\0');
+      if (n > 0) {
+        ASSERT_TRUE(r.GetBytes(&skip[0], skip.size()).ok());
+        ++staged_slots;
+      }
+    }
+    if (staged_slots == 2) cov->both_stages = true;
+  }
+  {  // Pending section: bit count first.
+    StateReader r(sections[4]);
+    uint64_t n = 0;
+    ASSERT_TRUE(r.GetU64(&n).ok());
+    if (n > 0) cov->pending_bits = true;
+  }
+}
+
+TEST(CheckpointGoldenTest, FailureDomainRegionSavesMatchPinnedDigest) {
+  const GridPartition grid = FixtureGrid();
+  const RegionPartition partition =
+      RegionPartition::Make(grid, 2).ValueOrDie();
+  EngineOptions options = FixtureOptions();
+  options.failure_domains.enabled = true;
+  // Rides long enough to span several closes, so workers cross the seam
+  // mid-ride, get repatriated, and some come home to a band that still
+  // holds their tombstone.
+  options.lifecycle.speed = 12.0;
+  std::vector<CellLocalStrategy> strategies(2);
+  ShardedMarketEngine engine(
+      &grid, &partition,
+      std::vector<PricingStrategy*>{&strategies[0], &strategies[1]}, options);
+
+  OutcomeDigest digest;
+  SaveCoverage cov;
+  const auto fold = [&](MarketEngine* region) {
+    std::string blob;
+    ASSERT_TRUE(region->SaveCheckpoint(&blob).ok());
+    digest.AddBytes(blob);
+    NoteCoverage(blob, &cov);
+  };
+
+  constexpr int kPeriods = 24;
+  int containers = 0;
+  Rng rng(9100);
+  WorkerId next_worker = 1;
+  {
+    ScopedFaultPlan plan("close_fail@r1p4;close_fail@r0p9;close_fail@r1p15");
+    PeriodOutcome out;
+    for (int32_t t = 0; t < kPeriods; ++t) {
+      const int joins = t == 0 ? 16 : (t % 3 == 0 ? 2 : 0);
+      for (int i = 0; i < joins; ++i) {
+        const Point loc{rng.NextDouble(5.0, 95.0), rng.NextDouble(5.0, 95.0)};
+        ASSERT_TRUE(engine
+                        .AddWorker(MakeWorker(grid, next_worker++, loc,
+                                              rng.NextDouble(25.0, 45.0)))
+                        .ok());
+      }
+      for (int i = 0; i < 8; ++i) {
+        Task task = MakeTask(grid, t * 100 + i,
+                             Point{rng.NextDouble(0.0, 100.0),
+                                   rng.NextDouble(0.0, 100.0)},
+                             rng.NextDouble(1.0, 4.0), t);
+        task.destination =
+            Point{rng.NextDouble(0.0, 100.0), rng.NextDouble(0.0, 100.0)};
+        ASSERT_TRUE(engine.SubmitTask(task, rng.NextDouble(1.0, 6.0)).ok());
+      }
+      ASSERT_TRUE(engine.ObserveAcceptance(t * 100 + 1, t % 2 == 0).ok());
+      ASSERT_TRUE(engine.ObserveAcceptance(t * 100 + 2, true).ok());
+      ASSERT_TRUE(engine.ClosePeriod(&out).ok());
+      for (int k = 0; k < 2; ++k) fold(engine.region_engine(k));
+      // The whole-deployment container too, whenever it may be taken (not
+      // while a region is quarantined or holds deferred tasks).
+      std::string container;
+      if (engine.SaveCheckpoint(&container).ok()) {
+        digest.AddBytes(container);
+        ++containers;
+      }
+    }
+  }
+  EXPECT_GT(engine.rejections().deferred_tasks, 0);
+  EXPECT_GT(containers, kPeriods / 2);
+
+  // Last, each region engine is driven directly (the deployment closes no
+  // more): it stages both slots — the open period by submission, the next
+  // one sealed in bulk — and holds acceptance bits, the slots and bits a
+  // sharded region otherwise only carries inside a restore point.
+  for (int k = 0; k < 2; ++k) {
+    MarketEngine* region = engine.region_engine(k);
+    std::vector<Task> next;
+    std::vector<double> next_values;
+    for (int i = 0; i < 5; ++i) {
+      Task task = MakeTask(grid, 9000 + 10 * k + i,
+                           Point{rng.NextDouble(0.0, 100.0),
+                                 rng.NextDouble(0.0, 100.0)},
+                           rng.NextDouble(1.0, 4.0), kPeriods);
+      ASSERT_TRUE(region->SubmitTask(task, rng.NextDouble(1.0, 6.0)).ok());
+      task.id += 5;
+      task.period = kPeriods + 1;
+      next.push_back(task);
+      next_values.push_back(rng.NextDouble(1.0, 6.0));
+    }
+    ASSERT_TRUE(region
+                    ->StageNextPeriodTasks(next.data(),
+                                           next.data() + next.size(),
+                                           next_values.data())
+                    .ok());
+    ASSERT_TRUE(region->ObserveAcceptance(9000 + 10 * k, true).ok());
+    ASSERT_TRUE(region->ObserveAcceptance(9001 + 10 * k, false).ok());
+    fold(region);
+  }
+
+  EXPECT_TRUE(cov.tombstone_shares_live_id);
+  EXPECT_TRUE(cov.busy_equal_next_free);
+  EXPECT_TRUE(cov.both_stages);
+  EXPECT_TRUE(cov.pending_bits);
+  EXPECT_EQ(digest.value(), kFailureDomainSavesDigest)
+      << "actual 0x" << std::hex << digest.value();
 }
 
 }  // namespace

@@ -456,8 +456,10 @@ TEST(EngineCheckpointTest, StrategySectionTrailingByteLeavesEngineUnchanged) {
   resealed.PutU32(kCheckpointFormatVersion);
   resealed.PutU32(kCheckpointNumSections);
   for (size_t i = 0; i < sections.size(); ++i) {
-    internal::AppendCheckpointSection(static_cast<uint32_t>(i + 1),
-                                      sections[i], &resealed);
+    const size_t header_at = internal::BeginCheckpointSection(
+        static_cast<uint32_t>(i + 1), &resealed);
+    resealed.PutBytes(sections[i].data(), sections[i].size());
+    internal::EndCheckpointSection(header_at, &resealed);
   }
 
   const Status st = engine.RestoreFromCheckpoint(resealed.data());

@@ -289,8 +289,10 @@ std::string TamperedCheckpoint(
   resealed.PutU32(kShardedCheckpointFormatVersion);
   resealed.PutU32(static_cast<uint32_t>(sections.size()));
   for (size_t i = 0; i < sections.size(); ++i) {
-    internal::AppendCheckpointSection(static_cast<uint32_t>(i + 1),
-                                      sections[i], &resealed);
+    const size_t header_at = internal::BeginCheckpointSection(
+        static_cast<uint32_t>(i + 1), &resealed);
+    resealed.PutBytes(sections[i].data(), sections[i].size());
+    internal::EndCheckpointSection(header_at, &resealed);
   }
   return resealed.data();
 }

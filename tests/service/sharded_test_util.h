@@ -96,6 +96,13 @@ class OutcomeDigest {
     }
   }
   void AddDouble(double v) { Add(std::bit_cast<uint64_t>(v)); }
+  /// Folds each byte of `bytes` (a checkpoint blob, say) in order.
+  void AddBytes(const std::string& bytes) {
+    for (const char c : bytes) {
+      hash_ ^= static_cast<unsigned char>(c);
+      hash_ *= 1099511628211ULL;
+    }
+  }
 
   /// Every externally visible field of a close: quotes and revenue by bit
   /// pattern, accepted ids, matches, counters, and the per-region health.

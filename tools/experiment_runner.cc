@@ -27,6 +27,7 @@
 //   --csv_dir      also write <experiment>.csv per experiment ("" disables;
 //                  default: MAPS_BENCH_CSV_DIR env, else disabled)
 
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -147,6 +148,19 @@ Table RunToTable(const ExperimentRun& run,
   return table;
 }
 
+/// A double in its shortest spelling that reads back bit-identically
+/// (std::to_chars with no precision), so the JSON carries the exact values
+/// the runner computed and two runs can be compared for equality.
+struct Exact {
+  double v;
+};
+
+std::ostream& operator<<(std::ostream& out, Exact n) {
+  char buf[32];  // the longest spelling, "-2.2250738585072014e-308", is 24
+  const auto r = std::to_chars(buf, buf + sizeof(buf), n.v);
+  return out.write(buf, r.ptr - buf);
+}
+
 Status WriteJson(const std::string& path,
                  const std::vector<ExperimentRun>& runs,
                  const std::vector<StrategyFactory>& strategies, int threads,
@@ -160,16 +174,16 @@ Status WriteJson(const std::string& path,
   for (size_t e = 0; e < runs.size(); ++e) {
     const ExperimentRun& run = runs[e];
     out << "    {\"name\": \"" << run.name << "\", \"x_name\": \""
-        << run.x_name << "\", \"wall_secs\": " << run.wall_secs
+        << run.x_name << "\", \"wall_secs\": " << Exact{run.wall_secs}
         << ", \"cells\": [\n";
     for (size_t c = 0; c < run.cells.size(); ++c) {
       const Cell& cell = run.cells[c];
       const SimulationResult& r = cell.result;
       out << "      {\"x\": \"" << run.x_labels[cell.point]
           << "\", \"strategy\": \"" << strategies[cell.strategy].name
-          << "\", \"revenue\": " << r.total_revenue
-          << ", \"mc_expected_revenue\": " << r.mc_expected_revenue
-          << ", \"time_secs\": " << r.total_time_sec
+          << "\", \"revenue\": " << Exact{r.total_revenue}
+          << ", \"mc_expected_revenue\": " << Exact{r.mc_expected_revenue}
+          << ", \"time_secs\": " << Exact{r.total_time_sec}
           << ", \"memory_bytes\": " << r.memory_bytes
           << ", \"accepted\": " << r.num_accepted
           << ", \"matched\": " << r.num_matched << "}"
