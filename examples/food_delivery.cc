@@ -11,6 +11,7 @@
 #include "sim/metrics.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
+#include "util/csv.h"
 
 int main() {
   using namespace maps;  // NOLINT

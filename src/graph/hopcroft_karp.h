@@ -1,6 +1,6 @@
 // Hopcroft-Karp maximum-cardinality bipartite matching: O(E * sqrt(V)).
-// Used on the large instances (scalability sweeps) where a simple
-// augmenting-path search's O(V*E) would dominate the simulation loop.
+// No serving path calls it: the tests use it as the maximum-cardinality
+// reference for the incremental matcher, and bench_micro times it.
 
 #pragma once
 

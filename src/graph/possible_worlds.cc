@@ -73,8 +73,8 @@ double SumWorldsInRange(const BipartiteGraph& graph,
 /// the final sum — are identical no matter how many workers execute them.
 constexpr int64_t kExactRevenueShards = 64;
 
-/// Fixed shard cap for the counter-based Monte-Carlo estimator; same
-/// determinism rule as kExactRevenueShards.
+/// Fixed shard cap for the Monte-Carlo estimator; same determinism rule as
+/// kExactRevenueShards.
 constexpr int64_t kMonteCarloShards = 64;
 
 }  // namespace
@@ -115,63 +115,6 @@ double ExactExpectedRevenue(const BipartiteGraph& graph,
   return ExactExpectedRevenue(graph, tasks, &ws);
 }
 
-double MonteCarloExpectedRevenue(const BipartiteGraph& graph,
-                                 const std::vector<PricedTask>& tasks,
-                                 Rng& rng, int samples,
-                                 PossibleWorldsWorkspace* ws) {
-  MAPS_CHECK_GT(samples, 0);
-  MAPS_CHECK_EQ(static_cast<int>(tasks.size()), graph.num_left());
-  PrepareWorkspace(tasks, ws);
-  double total = 0.0;
-  for (int s = 0; s < samples; ++s) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      ws->accepted[i] =
-          static_cast<char>(rng.NextBernoulli(tasks[i].accept_prob));
-    }
-    total += WorldRevenue(graph, ws);
-  }
-  return total / samples;
-}
-
-double MonteCarloExpectedRevenue(const BipartiteGraph& graph,
-                                 const std::vector<PricedTask>& tasks,
-                                 Rng& rng, int samples) {
-  PossibleWorldsWorkspace ws;
-  return MonteCarloExpectedRevenue(graph, tasks, rng, samples, &ws);
-}
-
-double MonteCarloExpectedRevenue(
-    const BipartiteGraph& graph, const std::vector<PricedTask>& tasks,
-    uint64_t seed, int samples, ThreadPool* pool,
-    std::vector<PossibleWorldsWorkspace>* workspaces) {
-  MAPS_CHECK_GT(samples, 0);
-  const int n = static_cast<int>(tasks.size());
-  MAPS_CHECK_EQ(n, graph.num_left());
-  const int num_workers = pool == nullptr ? 1 : pool->num_threads();
-  workspaces->resize(num_workers);
-  for (auto& ws : *workspaces) PrepareWorkspace(tasks, &ws);
-  const auto shards = SplitRange(samples, kMonteCarloShards);
-  const double total = ParallelReduce<double>(
-      pool, shards, 0.0,
-      [&](int /*shard*/, const IndexRange& range, int worker) {
-        PossibleWorldsWorkspace* ws = &(*workspaces)[worker];
-        double sum = 0.0;
-        for (int64_t s = range.begin; s < range.end; ++s) {
-          // World s's randomness is stream s of the (seed, ·) family; the
-          // stream never depends on the shard layout, only on s itself.
-          CounterRng rng(seed, static_cast<uint64_t>(s));
-          for (int i = 0; i < n; ++i) {
-            ws->accepted[i] =
-                static_cast<char>(rng.NextBernoulli(tasks[i].accept_prob));
-          }
-          sum += WorldRevenue(graph, ws);
-        }
-        return sum;
-      },
-      [](double acc, double partial) { return acc + partial; });
-  return total / samples;
-}
-
 WorldMomentSums MonteCarloRevenueMoments(
     const BipartiteGraph& graph, const std::vector<PricedTask>& tasks,
     uint64_t seed, int64_t first_world, int64_t num_worlds, ThreadPool* pool,
@@ -209,6 +152,16 @@ WorldMomentSums MonteCarloRevenueMoments(
         acc.sum_squares += partial.sum_squares;
         return acc;
       });
+}
+
+double MonteCarloExpectedRevenue(
+    const BipartiteGraph& graph, const std::vector<PricedTask>& tasks,
+    uint64_t seed, int samples, ThreadPool* pool,
+    std::vector<PossibleWorldsWorkspace>* workspaces) {
+  return MonteCarloRevenueMoments(graph, tasks, seed, 0, samples, pool,
+                                  workspaces)
+             .sum /
+         samples;
 }
 
 }  // namespace maps

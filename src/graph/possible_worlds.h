@@ -17,7 +17,6 @@
 
 #include "graph/bipartite_graph.h"
 #include "graph/incremental_matching.h"
-#include "rng/random.h"
 #include "util/thread_pool.h"
 
 namespace maps {
@@ -71,26 +70,13 @@ double ExactExpectedRevenue(const BipartiteGraph& graph,
                             ThreadPool* pool,
                             std::vector<PossibleWorldsWorkspace>* workspaces);
 
-/// \brief Monte-Carlo estimate of E[U(B^t)] with `samples` sampled worlds,
-/// drawn from the caller's SEQUENTIAL stream. Kept for stream-aligned
-/// single-threaded uses; the counter-based overload below is what shards.
-double MonteCarloExpectedRevenue(const BipartiteGraph& graph,
-                                 const std::vector<PricedTask>& tasks,
-                                 Rng& rng, int samples);
-
-/// \brief As above, reusing `ws` buffers across calls.
-double MonteCarloExpectedRevenue(const BipartiteGraph& graph,
-                                 const std::vector<PricedTask>& tasks,
-                                 Rng& rng, int samples,
-                                 PossibleWorldsWorkspace* ws);
-
-/// \brief Pool-backed Monte Carlo: world s in [0, samples) draws its
-/// acceptance vector from CounterRng stream (seed, s) — a pure function of
-/// the world index, never of which worker ran it or how many worlds ran
-/// before it. Worlds are split into a FIXED number of contiguous shards (a
-/// function of `samples` only), each shard sums its worlds in index order,
-/// and partials fold in shard order — so the estimate is bit-identical for
-/// ANY thread count (1, 2, 8, ...), including `pool == nullptr`.
+/// \brief Monte-Carlo estimate of E[U(B^t)] from `samples` sampled worlds:
+/// MonteCarloRevenueMoments(graph, tasks, seed, 0, samples, ...).sum /
+/// samples. World s in [0, samples) draws its acceptance vector from
+/// CounterRng stream (seed, s) — a pure function of the world index, never
+/// of which worker ran it or how many worlds ran before it — so the
+/// estimate is bit-identical for ANY thread count (1, 2, 8, ...), including
+/// `pool == nullptr`.
 ///
 /// `workspaces` follows the PR 1 pooling contract: resized to the pool's
 /// worker count, each worker touches only its own entry, capacities persist
@@ -108,10 +94,9 @@ struct WorldMomentSums {
 };
 
 /// \brief Moments of worlds [first_world, first_world + num_worlds): world w
-/// draws its acceptance vector from CounterRng stream (seed, w), exactly like
-/// the counter-based MonteCarloExpectedRevenue overload, so batches taken at
-/// [0, B), [B, 2B), ... concatenate into the same world sequence a single
-/// [0, n*B) call would sample. The batch is split into a FIXED number of
+/// draws its acceptance vector from CounterRng stream (seed, w), so batches
+/// taken at [0, B), [B, 2B), ... concatenate into the same world sequence a
+/// single [0, n*B) call would sample. The batch is split into a FIXED number of
 /// contiguous shards (a function of num_worlds only) whose partial
 /// (sum, sum_squares) pairs fold in shard order — bit-identical for ANY
 /// thread count, including `pool == nullptr`. This is the primitive behind

@@ -36,7 +36,7 @@ enum SectionId : uint32_t {
   kSectionConfig = 1,    // grid/lifecycle/strategy fingerprint
   kSectionCore = 2,      // period counter + rejection counters
   kSectionWorkers = 3,   // lifecycle table: records, idle order, busy heap
-  kSectionStages = 4,    // both staged task sets + seal flags
+  kSectionStages = 4,    // open period's tasks, in its parity slot
   kSectionPending = 5,   // pending acceptance bits
   kSectionRng = 6,       // repositioning RNG position
   kSectionStrategy = 7,  // PricingStrategy::SaveState payload
@@ -482,12 +482,16 @@ Status MarketEngine::AppendCheckpoint(StateWriter* out) {
   internal::EndCheckpointSection(section, out);
 
   section = internal::BeginCheckpointSection(kSectionStages, out);
-  for (const Stage& stage : stages_) {
-    out->PutBool(stage.sealed);
-    out->PutU64(stage.tasks.size());
-    for (const Task& task : stage.tasks) internal::PutTask(task, out);
-    // Aligned with tasks by the SubmitTask/StageNextPeriodTasks contract.
-    for (double v : stage.valuations) out->PutDouble(v);
+  // Two slots ordered by period parity: the open period's tasks sit in
+  // slot period_ & 1, the other slot is empty, and each slot's leading
+  // flag byte is 0 (docs/checkpoint_format.md, Section 4).
+  for (int slot = 0; slot < 2; ++slot) {
+    const bool open = slot == (period_ & 1);
+    out->PutBool(false);
+    out->PutU64(open ? stage_.tasks.size() : 0);
+    if (!open) continue;
+    for (const Task& task : stage_.tasks) internal::PutTask(task, out);
+    for (double v : stage_.valuations) out->PutDouble(v);
   }
   internal::EndCheckpointSection(section, out);
 
@@ -632,13 +636,28 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
     MAPS_RETURN_NOT_OK(r.ExpectEnd("worker section"));
   }
 
-  Stage stages[2];
-  {  // Staged task sets.
+  Stage stage;
+  {  // The open period's tasks, in the slot of its parity.
     StateReader r(sections[kSectionStages - 1]);
-    for (Stage& stage : stages) {
-      MAPS_RETURN_NOT_OK(r.GetBool(&stage.sealed, "stage sealed"));
+    for (int slot = 0; slot < 2; ++slot) {
+      bool sealed;
+      MAPS_RETURN_NOT_OK(r.GetBool(&sealed, "stage sealed"));
+      if (sealed) {
+        return Status::InvalidArgument(
+            "stage slot " + std::to_string(slot) +
+            " is sealed; this engine has no bulk-staged periods");
+      }
       uint64_t n;
       MAPS_RETURN_NOT_OK(r.GetU64(&n, "staged task count"));
+      if (slot != (period & 1)) {
+        if (n != 0) {
+          return Status::InvalidArgument(
+              "stage slot " + std::to_string(slot) + " holds " +
+              std::to_string(n) + " tasks, but only the open period " +
+              std::to_string(period) + "'s slot may hold any");
+        }
+        continue;
+      }
       // One task is 56 encoded bytes (plus its valuation after the list).
       MAPS_RETURN_NOT_OK(CheckDecodedCount(r, n, 56, "staged tasks"));
       stage.tasks.resize(static_cast<size_t>(n));
@@ -709,8 +728,7 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   busy_ = decltype(busy_)();
   for (const BusyEntry& entry : busy_entries) busy_.push(entry);
   matched_flag_.assign(workers_.size(), 0);
-  stages_[0] = std::move(stages[0]);
-  stages_[1] = std::move(stages[1]);
+  stage_ = std::move(stage);
   pending_accept_ = std::move(pending);
   reposition_rng_.LoadState(rng_state);
   // The snapshot is derived state that every ClosePeriod rebuilds before

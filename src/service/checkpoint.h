@@ -46,7 +46,7 @@ inline constexpr char kCheckpointMagic[8] = {'M', 'A', 'P', 'S',
 inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
 /// Number of sections in a single-engine checkpoint container (config,
-/// core counters, workers, staged tasks, pending bits, RNG, strategy).
+/// core counters, workers, open-period tasks, pending bits, RNG, strategy).
 inline constexpr uint32_t kCheckpointNumSections = 7;
 
 /// First bytes of a ShardedMarketEngine checkpoint file (its container

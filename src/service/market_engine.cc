@@ -100,62 +100,20 @@ MarketEngine::MarketEngine(const GridPartition* grid,
   }
 }
 
-Status MarketEngine::CheckTaskGrids(const Task* begin, const Task* end) const {
-  for (const Task* t = begin; t != end; ++t) {
-    if (t->grid < 0 || t->grid >= grid_->num_cells()) {
-      return Status::InvalidArgument(
-          "task " + std::to_string(t->id) + " grid " +
-          std::to_string(t->grid) + " outside the partition");
-    }
-  }
-  return Status::OK();
-}
-
 Status MarketEngine::SubmitTask(const Task& task, double valuation) {
-  Stage& stage = stages_[period_ & 1];
-  if (stage.sealed) {
-    return Status::FailedPrecondition(
-        "period " + std::to_string(period_) +
-        " was staged in bulk; SubmitTask is closed for it");
+  if (task.grid < 0 || task.grid >= grid_->num_cells()) {
+    return Status::InvalidArgument(
+        "task " + std::to_string(task.id) + " grid " +
+        std::to_string(task.grid) + " outside the partition");
   }
-  MAPS_RETURN_NOT_OK(CheckTaskGrids(&task, &task + 1));
-  if (!stage.ids.insert(task.id).second) {
+  if (!stage_.ids.insert(task.id).second) {
     obs::BumpMirrored(&rejections_.duplicate_tasks, m_reject_.duplicate_tasks);
     return Status::AlreadyExists("task id " + std::to_string(task.id) +
                                  " already submitted for period " +
                                  std::to_string(period_));
   }
-  stage.tasks.push_back(task);
-  stage.valuations.push_back(valuation);
-  return Status::OK();
-}
-
-Status MarketEngine::StageNextPeriodTasks(const Task* begin, const Task* end,
-                                          const double* valuations) {
-  Stage& stage = stages_[(period_ + 1) & 1];
-  if (stage.sealed || !stage.tasks.empty()) {
-    return Status::FailedPrecondition(
-        "period " + std::to_string(period_ + 1) + " already has staged tasks");
-  }
-  MAPS_RETURN_NOT_OK(CheckTaskGrids(begin, end));
-  stage.ids.clear();
-  for (const Task* task = begin; task != end; ++task) {
-    if (!stage.ids.insert(task->id).second) {
-      stage.ids.clear();
-      obs::BumpMirrored(&rejections_.duplicate_tasks,
-                        m_reject_.duplicate_tasks);
-      return Status::InvalidArgument(
-          "staged batch repeats task id " + std::to_string(task->id) +
-          " for period " + std::to_string(period_ + 1));
-    }
-  }
-  stage.tasks.assign(begin, end);
-  if (valuations != nullptr) {
-    stage.valuations.assign(valuations, valuations + (end - begin));
-  } else {
-    stage.valuations.assign(static_cast<size_t>(end - begin), kNoValuation);
-  }
-  stage.sealed = true;
+  stage_.tasks.push_back(task);
+  stage_.valuations.push_back(valuation);
   return Status::OK();
 }
 
@@ -328,7 +286,7 @@ void MarketEngine::AdvanceQuietPeriod() {
   // Drop the open period's events without accounting: the sharded layer
   // already deferred its tasks and kept (or orphan-counted) its bits.
   pending_accept_.clear();
-  stages_[t & 1].Clear();
+  stage_.Clear();
   ++period_;
 }
 
@@ -347,13 +305,12 @@ int64_t MarketEngine::num_live_workers() const {
 Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   if (out == nullptr) return Status::InvalidArgument("null outcome");
   const int32_t t = period_;
-  Stage& stage = stages_[t & 1];
 
   // The task side of the snapshot: bucketing and distance prefix sums.
   {
     obs::ScopedTimer prebuild_timer(m_prebuild_ns_);
-    snapshot_.ResetTasks(grid_, t, stage.tasks.data(),
-                         stage.tasks.data() + stage.tasks.size());
+    snapshot_.ResetTasks(grid_, t, stage_.tasks.data(),
+                         stage_.tasks.data() + stage_.tasks.size());
   }
 
   out->period = t;
@@ -363,7 +320,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   out->matches.clear();
   out->revenue = 0.0;
   out->mc_expected_revenue = 0.0;
-  out->num_tasks = static_cast<int32_t>(stage.tasks.size());
+  out->num_tasks = static_cast<int32_t>(stage_.tasks.size());
   out->num_available_workers = 0;
 
   const bool single_use = options_.lifecycle.single_use;
@@ -393,7 +350,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   out->num_available_workers = static_cast<int32_t>(period_workers_.size());
 
   // Dead period: nothing to price or match; the strategy is not consulted.
-  if (stage.tasks.empty() && period_workers_.empty()) {
+  if (stage_.tasks.empty() && period_workers_.empty()) {
     out->skipped = true;
     // No tasks were in the period, so every reported bit is an orphan.
     obs::BumpMirrored(&rejections_.orphan_acceptances,
@@ -401,7 +358,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
                       static_cast<int64_t>(pending_accept_.size()));
     out->rejections = rejections_;
     pending_accept_.clear();
-    stage.Clear();
+    stage_.Clear();
     if (m_periods_closed_ != nullptr) m_periods_closed_->Increment();
     if (m_dead_periods_ != nullptr) m_dead_periods_->Increment();
     if (options_.trace != nullptr) {
@@ -444,7 +401,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   accepted_.assign(snapshot_.tasks().size(), false);
   for (size_t i = 0; i < snapshot_.tasks().size(); ++i) {
     const Task& task = snapshot_.tasks()[i];
-    bool accepted = stage.valuations[i] >= prices_[task.grid];
+    bool accepted = stage_.valuations[i] >= prices_[task.grid];
     if (has_observed_bits) {
       const auto it = pending_accept_.find(task.id);
       if (it != pending_accept_.end()) {
@@ -585,7 +542,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   peak_strategy_bytes_ =
       std::max(peak_strategy_bytes_, strategy_->MemoryFootprintBytes());
 
-  stage.Clear();
+  stage_.Clear();
   if (m_periods_closed_ != nullptr) m_periods_closed_->Increment();
   if (options_.trace != nullptr) {
     options_.trace->Emit(obs::TraceEvent::Kind::kPeriodClosed, t,

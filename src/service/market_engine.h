@@ -17,12 +17,11 @@
 //     decisions); otherwise a hidden valuation attached at SubmitTask()
 //     decides (v >= price, the simulation path); a task with neither is
 //     treated as declined.
-//   * StageNextPeriodTasks() optionally seals the NEXT period's task set in
-//     bulk — the replay adapter's bulk-staging hook. ClosePeriod() builds
-//     the one snapshot from the staged tasks either way, so results are
-//     identical to submitting the same tasks one by one (DESIGN.md §11).
+//   * Each event kind has one entry point: tasks arrive only through
+//     SubmitTask(), and ClosePeriod() builds the period's one snapshot from
+//     the open period's stage.
 //
-// RunSimulation (sim/simulator.h) is now a thin replay adapter that feeds a
+// RunSimulation (sim/simulator.h) is a thin replay adapter that feeds a
 // Workload through exactly this API; the determinism contract (identical
 // events => bit-identical outcomes at any thread count) is tested against
 // it.
@@ -122,8 +121,8 @@ struct EngineOptions {
 /// deployment alerting on these catches duplicate submissions or stale
 /// acceptance reports without failing the period.
 struct EngineRejectionCounters {
-  /// SubmitTask / StageNextPeriodTasks calls rejected because a task id
-  /// was already submitted for the same period.
+  /// SubmitTask calls rejected because a task id was already submitted for
+  /// the same period.
   int64_t duplicate_tasks = 0;
   /// RemoveWorker calls rejected because the id was never admitted.
   int64_t unknown_worker_removals = 0;
@@ -260,17 +259,10 @@ class MarketEngine {
   /// Submits a task to the open period. `valuation` is the requester's
   /// hidden v_r when the caller knows it (replay / simulation); online
   /// deployments leave it unset and report the decision via
-  /// ObserveAcceptance(). Fails if the open period was sealed in bulk.
-  /// Task ids must be unique within a period: a duplicate id is rejected
-  /// with AlreadyExists and counted (ids may repeat across periods).
+  /// ObserveAcceptance(). Task ids must be unique within a period: a
+  /// duplicate id is rejected with AlreadyExists and counted (ids may
+  /// repeat across periods).
   Status SubmitTask(const Task& task, double valuation = kNoValuation);
-
-  /// Seals the NEXT period's task set in bulk (tasks are copied).
-  /// `valuations` is either null or an array of end - begin hidden
-  /// valuations aligned with [begin, end). Its snapshot is built by that
-  /// period's ClosePeriod(), as for submitted tasks.
-  Status StageNextPeriodTasks(const Task* begin, const Task* end,
-                              const double* valuations);
 
   /// Admits a worker into the open period. `worker.period` is ignored
   /// (admission time is now); `worker.duration` periods of membership start
@@ -297,8 +289,8 @@ class MarketEngine {
   Status ClosePeriod(PeriodOutcome* out);
 
   /// Serializes the full resumable engine state — period counter, worker
-  /// lifecycle table (idle order, busy heap, retire state), staged task
-  /// sets and seal flags, pending acceptance bits, repositioning RNG
+  /// lifecycle table (idle order, busy heap, retire state), the open
+  /// period's submitted tasks, pending acceptance bits, repositioning RNG
   /// position, rejection counters, a configuration fingerprint, and the
   /// strategy's learned state (PricingStrategy::SaveState) — into the
   /// versioned binary checkpoint format (DESIGN.md §12,
@@ -363,7 +355,7 @@ class MarketEngine {
   /// Advances the open period by one WITHOUT consulting the strategy,
   /// matching, or repositioning — the catch-up step of a quarantine
   /// restore (DESIGN.md §15): busy workers whose rides ended return to the
-  /// idle list, the open period's staged tasks and pending bits are
+  /// idle list, the open period's submitted tasks and pending bits are
   /// dropped uncounted (the sharded layer already deferred or accounted
   /// them), and the period counter increments. Deterministic and
   /// RNG-free, so a restored region replayed through Q quiet periods is a
@@ -405,23 +397,20 @@ class MarketEngine {
     bool consumed = false;   // single-use worker already served a task
   };
 
-  /// Tasks buffered for one period.
+  /// Tasks submitted to the open period.
   struct Stage {
     std::vector<Task> tasks;
     std::vector<double> valuations;  // aligned; kNoValuation when unknown
-    bool sealed = false;             // bulk-staged, SubmitTask rejected
-    /// Ids already staged for this period (duplicate-submission guard);
+    /// Ids already submitted for this period (duplicate-submission guard);
     /// derived from `tasks`, rebuilt — not serialized — on restore.
     std::unordered_set<TaskId> ids;
     void Clear() {
       tasks.clear();
       valuations.clear();
-      sealed = false;
       ids.clear();
     }
   };
 
-  Status CheckTaskGrids(const Task* begin, const Task* end) const;
   /// Appends and indexes a worker record (the shared half of AddWorker and
   /// AdoptWorker, which place it on the idle list or busy heap).
   Status AppendWorker(const Worker& base, int32_t next_free,
@@ -435,11 +424,10 @@ class MarketEngine {
   EngineOptions options_;
   int32_t period_ = 0;
 
-  // The period's snapshot, rebuilt by every ClosePeriod(). Task sets are
-  // staged by period parity: the open period t in stages_[t & 1], a
-  // bulk-staged period t + 1 in the other.
+  // The period's snapshot, rebuilt by every ClosePeriod() from the open
+  // period's stage, which the close then clears.
   MarketSnapshot snapshot_;
-  Stage stages_[2];
+  Stage stage_;
 
   // Worker lifecycle (the simulator's former per-period state machine).
   std::vector<WorkerRecord> workers_;

@@ -1,7 +1,7 @@
 // ReplayDriver: drives an engine (monolithic or sharded) from a streaming
 // ReplayEventStream, one event in memory at a time. This is the single
-// ingestion path behind `maps_cli replay` and the simulator's streaming
-// adapter (sim/simulator.h): grid assignment, distance derivation, period
+// ingestion path for event logs (`maps_cli replay`, the end-to-end
+// replay bench): grid assignment, distance derivation, period
 // stamping, resume skipping, and per-close accounting live here once, so a
 // 10^6+-event log is replayed with O(1) ingestion memory regardless of the
 // consumer.

@@ -434,30 +434,4 @@ Result<bool> ReplayEventStream::Next(ReplayEvent* out) {
   return false;
 }
 
-Result<std::vector<ReplayEvent>> LoadReplayLog(
-    std::istream& in, const ReplayLoadOptions& options,
-    ReplayLoadStats* stats) {
-  std::vector<ReplayEvent> events;
-  ReplayEventStream stream(in, options);
-  ReplayEvent ev;
-  while (true) {
-    auto more = stream.Next(&ev);
-    MAPS_RETURN_NOT_OK(more.status());
-    if (!more.ValueOrDie()) break;
-    events.push_back(std::move(ev));
-  }
-  if (stream.stats().lines_skipped > 0) {
-    MAPS_LOG(Warning) << "replay log: skipped "
-                      << stream.stats().lines_skipped
-                      << " malformed line(s), loaded "
-                      << stream.stats().events_loaded << " event(s)";
-  }
-  if (stats != nullptr) *stats = stream.stats();
-  return events;
-}
-
-Result<std::vector<ReplayEvent>> LoadReplayLog(std::istream& in) {
-  return LoadReplayLog(in, ReplayLoadOptions{}, nullptr);
-}
-
 }  // namespace maps

@@ -81,15 +81,15 @@ struct ReplayField {
 
 }  // namespace internal
 
-/// \brief Tuning knobs for LoadReplayLog.
+/// \brief Tuning knobs for ReplayEventStream.
 struct ReplayLoadOptions {
   /// When true, a malformed line is logged at Warning, counted in
   /// ReplayLoadStats::lines_skipped, and dropped instead of failing the
-  /// whole load. Structural damage (an unreadable stream) still fails.
+  /// whole replay. Structural damage (an unreadable stream) still fails.
   bool skip_bad_events = false;
 };
 
-/// \brief Counters reported by LoadReplayLog.
+/// \brief Counters reported by ReplayEventStream::stats().
 struct ReplayLoadStats {
   /// Malformed lines dropped because of ReplayLoadOptions::skip_bad_events.
   int64_t lines_skipped = 0;
@@ -153,16 +153,5 @@ class ReplayEventStream {
   obs::Counter* m_events_ = nullptr;
   obs::Counter* m_skipped_ = nullptr;
 };
-
-/// \brief Reads a whole event log into memory, skipping blanks and '#'
-/// comments. Errors carry the 1-based line number and the offending field.
-/// Prefer ReplayEventStream for logs of unbounded size — this materializes
-/// every event.
-Result<std::vector<ReplayEvent>> LoadReplayLog(std::istream& in,
-                                               const ReplayLoadOptions& options,
-                                               ReplayLoadStats* stats = nullptr);
-
-/// \brief Strict load: any malformed line fails with its line number.
-Result<std::vector<ReplayEvent>> LoadReplayLog(std::istream& in);
 
 }  // namespace maps

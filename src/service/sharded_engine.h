@@ -53,8 +53,8 @@
 namespace maps {
 
 /// \brief K-region sharded serving engine; same event surface as
-/// MarketEngine (bulk staging excepted). Not thread-safe: one logical event
-/// stream, like the monolith.
+/// MarketEngine. Not thread-safe: one logical event stream, like the
+/// monolith.
 class ShardedMarketEngine {
  public:
   /// \param grid the full city partition (regions price over the full

@@ -1,7 +1,5 @@
 #include "sim/metrics.h"
 
-#include <iostream>
-
 #include "pricing/base_pricing.h"
 #include "pricing/capped_ucb.h"
 #include "pricing/maps.h"
@@ -28,37 +26,6 @@ std::vector<StrategyFactory> DefaultStrategies(const PricingConfig& config) {
                    return std::make_unique<CappedUcb>(config);
                  }});
   return out;
-}
-
-ExperimentSweep::ExperimentSweep(std::string experiment, std::string x_name)
-    : experiment_(std::move(experiment)),
-      table_({x_name, "strategy", "revenue", "time_secs", "memory_mb",
-              "accepted", "matched"}) {}
-
-Status ExperimentSweep::RunPoint(
-    const std::string& x_value, const Workload& workload,
-    const std::vector<StrategyFactory>& strategies) {
-  for (size_t s = 0; s < strategies.size(); ++s) {
-    std::unique_ptr<PricingStrategy> strategy = strategies[s].make();
-    SimOptions options;
-    options.warmup_stream = 101 + s;  // independent probe randomness
-    auto run = RunSimulation(workload, strategy.get(), options);
-    MAPS_RETURN_NOT_OK(run.status());
-    const SimulationResult& r = run.ValueOrDie();
-    table_.AddRow(x_value, strategies[s].name, r.total_revenue,
-                  r.total_time_sec,
-                  static_cast<double>(r.memory_bytes) / (1024.0 * 1024.0),
-                  r.num_accepted, r.num_matched);
-  }
-  return Status::OK();
-}
-
-Status ExperimentSweep::Report(const std::string& csv_dir) const {
-  std::cout << "== " << experiment_ << " ==\n" << table_.ToText() << "\n";
-  if (!csv_dir.empty()) {
-    return table_.WriteCsv(csv_dir + "/" + experiment_ + ".csv");
-  }
-  return Status::OK();
 }
 
 }  // namespace maps

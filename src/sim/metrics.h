@@ -1,9 +1,5 @@
-// ExperimentSweep: the shared harness behind every figure bench.
-//
-// A bench declares its x-axis, generates one Workload per x value, and the
-// sweep runs all five strategies of Sec. 5.1 against each workload,
-// accumulating the paper's three series (revenue, running time, memory) in
-// one table.
+// The strategy roster of the paper's experiments: the five strategies of
+// Sec. 5.1 as named factories, so each run gets a fresh instance.
 
 #pragma once
 
@@ -13,9 +9,6 @@
 #include <vector>
 
 #include "pricing/strategy.h"
-#include "sim/simulator.h"
-#include "sim/workload.h"
-#include "util/csv.h"
 
 namespace maps {
 
@@ -28,28 +21,5 @@ struct StrategyFactory {
 
 /// \brief The paper's five strategies: MAPS, BaseP, SDR, SDE, CappedUCB.
 std::vector<StrategyFactory> DefaultStrategies(const PricingConfig& config);
-
-/// \brief Collects (x, strategy) -> {revenue, time, memory} rows.
-class ExperimentSweep {
- public:
-  /// \param experiment e.g. "fig6_workers"
-  /// \param x_name     e.g. "|W|"
-  ExperimentSweep(std::string experiment, std::string x_name);
-
-  /// Runs every factory against the workload; rows are appended in factory
-  /// order. Strategies warm up on independent oracle forks.
-  Status RunPoint(const std::string& x_value, const Workload& workload,
-                  const std::vector<StrategyFactory>& strategies);
-
-  const Table& table() const { return table_; }
-
-  /// Prints the aligned table to stdout and writes `<experiment>.csv` into
-  /// `csv_dir` (skipped when csv_dir is empty).
-  Status Report(const std::string& csv_dir = ".") const;
-
- private:
-  std::string experiment_;
-  Table table_;
-};
 
 }  // namespace maps

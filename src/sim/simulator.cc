@@ -1,9 +1,7 @@
 #include "sim/simulator.h"
 
 #include <chrono>
-#include <utility>
 
-#include "service/replay_driver.h"
 #include "util/logging.h"
 
 namespace maps {
@@ -57,33 +55,17 @@ Result<SimulationResult> RunSimulation(const Workload& workload,
     result.warmup_time_sec = Seconds(warm_start, Clock::now());
   }
 
-  // Per-period task ranges over the validated, period-sorted task array.
-  std::vector<std::pair<size_t, size_t>> task_range(workload.num_periods);
-  {
-    size_t i = 0;
-    for (int32_t t = 0; t < workload.num_periods; ++t) {
-      const size_t begin = i;
-      while (i < workload.tasks.size() && workload.tasks[i].period == t) ++i;
-      task_range[t] = {begin, i};
-    }
-  }
-  const Task* task_base = workload.tasks.data();
-  const double* val_base = workload.valuations.data();
-
-  // Replay: submit period 0, then per period bulk-stage t+1, admit the
-  // period's workers, and close.
-  if (workload.num_periods > 0) {
-    for (size_t i = task_range[0].first; i < task_range[0].second; ++i) {
-      MAPS_RETURN_NOT_OK(engine.SubmitTask(task_base[i], val_base[i]));
-    }
-  }
+  // Replay, per period: submit its tasks (the validated task array is
+  // period-sorted), admit its workers, and close.
+  size_t next_task = 0;
   size_t next_entry = 0;
   PeriodOutcome outcome;
   for (int32_t t = 0; t < workload.num_periods; ++t) {
-    if (t + 1 < workload.num_periods) {
-      const auto [begin, end] = task_range[t + 1];
-      MAPS_RETURN_NOT_OK(engine.StageNextPeriodTasks(
-          task_base + begin, task_base + end, val_base + begin));
+    for (; next_task < workload.tasks.size() &&
+           workload.tasks[next_task].period == t;
+         ++next_task) {
+      MAPS_RETURN_NOT_OK(engine.SubmitTask(workload.tasks[next_task],
+                                           workload.valuations[next_task]));
     }
     while (next_entry < workload.workers.size() &&
            workload.workers[next_entry].period == t) {
@@ -103,49 +85,6 @@ Result<SimulationResult> RunSimulation(const Workload& workload,
       result.per_period.push_back(ToPeriodStats(outcome));
     }
   }
-
-  result.pricing_time_sec = engine.strategy_seconds();
-  result.total_time_sec = result.warmup_time_sec + result.pricing_time_sec;
-  result.memory_bytes =
-      engine.peak_platform_bytes() + engine.peak_strategy_bytes();
-  return result;
-}
-
-Result<SimulationResult> RunReplayStream(ReplayEventStream* stream,
-                                         const GridPartition& grid,
-                                         PricingStrategy* strategy,
-                                         const DemandOracle* warmup_oracle,
-                                         const SimOptions& options) {
-  if (stream == nullptr) return Status::InvalidArgument("null event stream");
-  if (strategy == nullptr) return Status::InvalidArgument("null strategy");
-
-  SimulationResult result;
-  MarketEngine engine(&grid, strategy, options.engine);
-
-  if (!options.skip_warmup && warmup_oracle != nullptr) {
-    const auto warm_start = Clock::now();
-    DemandOracle history = warmup_oracle->Fork(options.warmup_stream);
-    MAPS_RETURN_NOT_OK(strategy->Warmup(grid, &history));
-    result.warmup_time_sec = Seconds(warm_start, Clock::now());
-  }
-
-  ReplayStreamOptions drive;
-  // A skipped (dead) period has no tasks and no workers, so it adds nothing
-  // to the totals and gets no per-period row.
-  const bool collect = options.collect_per_period;
-  drive.on_close = [&result, collect](const PeriodOutcome& outcome) {
-    if (outcome.skipped) return Status::OK();
-    result.mc_expected_revenue += outcome.mc_expected_revenue;
-    result.num_tasks += outcome.num_tasks;
-    if (collect) result.per_period.push_back(ToPeriodStats(outcome));
-    return Status::OK();
-  };
-  auto summary_or = ReplayEventsThroughEngine(stream, grid, &engine, drive);
-  MAPS_RETURN_NOT_OK(summary_or.status());
-  const ReplayStreamSummary& summary = summary_or.ValueOrDie();
-  result.total_revenue = summary.total_revenue;
-  result.num_accepted = summary.total_accepted;
-  result.num_matched = summary.total_matched;
 
   result.pricing_time_sec = engine.strategy_seconds();
   result.total_time_sec = result.warmup_time_sec + result.pricing_time_sec;

@@ -1,8 +1,8 @@
 // The platform simulator, now a thin REPLAY ADAPTER over the online
 // MarketEngine (service/market_engine.h): RunSimulation feeds a
-// pre-materialized Workload through the engine's event API —
-// StageNextPeriodTasks / SubmitTask, AddWorker, ClosePeriod — and
-// accumulates the per-period outcomes. The per-period mechanics (pricing,
+// pre-materialized Workload through the engine's event API — per period
+// SubmitTask for each task, AddWorker for each entrant, then ClosePeriod —
+// and accumulates the per-period outcomes. The per-period mechanics (pricing,
 // acceptance draw, max-weight matching, worker lifecycle, MC diagnostic)
 // live in the engine; identical (workload, strategy, options) runs are
 // bit-identical to the former batch loop at any thread count (tested in
@@ -14,7 +14,6 @@
 
 #include "pricing/strategy.h"
 #include "service/market_engine.h"
-#include "service/replay_log.h"
 #include "sim/workload.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
@@ -78,18 +77,5 @@ struct SimulationResult {
 Result<SimulationResult> RunSimulation(const Workload& workload,
                                        PricingStrategy* strategy,
                                        const SimOptions& options = {});
-
-/// \brief Streaming counterpart of RunSimulation: drives `strategy` from a
-/// line-at-a-time replay event stream (service/replay_log.h) instead of a
-/// pre-materialized Workload, so the event log never resides in memory —
-/// ingestion footprint is one line buffer regardless of log length. Market
-/// knobs come from `options.engine` (there is no workload to override
-/// them); `warmup_oracle` may be null to skip warm-up (equivalent to
-/// options.skip_warmup).
-Result<SimulationResult> RunReplayStream(ReplayEventStream* stream,
-                                         const GridPartition& grid,
-                                         PricingStrategy* strategy,
-                                         const DemandOracle* warmup_oracle,
-                                         const SimOptions& options = {});
 
 }  // namespace maps

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ios>
+
 #include "rng/random.h"
 
 namespace maps {
@@ -76,8 +78,9 @@ TEST(PossibleWorldsTest, MonteCarloAgreesWithExact) {
       t.accept_prob = geom.NextDouble(0.1, 0.9);
     }
     const double exact = ExactExpectedRevenue(g, tasks);
-    Rng mc(trial);
-    const double estimate = MonteCarloExpectedRevenue(g, tasks, mc, 40000);
+    std::vector<PossibleWorldsWorkspace> workspaces;
+    const double estimate = MonteCarloExpectedRevenue(
+        g, tasks, /*seed=*/trial, 40000, /*pool=*/nullptr, &workspaces);
     // Bound the deviation loosely: ~4 sigma of the MC mean.
     EXPECT_NEAR(estimate, exact, std::max(0.05, exact * 0.05))
         << "trial " << trial;
@@ -161,6 +164,9 @@ TEST(PossibleWorldsTest, CounterMonteCarloBitIdenticalAcrossThreads) {
   const double serial =
       MonteCarloExpectedRevenue(g, tasks, /*seed=*/33, /*samples=*/10001,
                                 /*pool=*/nullptr, &workspaces);
+  // Pinned bits: a change to the world streams, the shard layout or the
+  // fold order moves this value even where every run still agrees.
+  EXPECT_EQ(serial, 0x1.bb313bc6c9302p+4) << std::hexfloat << serial;
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     EXPECT_EQ(MonteCarloExpectedRevenue(g, tasks, 33, 10001, &pool,

@@ -6,6 +6,7 @@
 
 #include "../test_util.h"
 #include "sim/metrics.h"
+#include "sim/simulator.h"
 #include "sim/synthetic.h"
 
 namespace maps {

@@ -315,19 +315,18 @@ TEST(CheckpointGoldenTest, ShardedBlobRestoresAndResavesIdentically) {
 //
 // The two fixtures above pin one small blob each. The engine save path also
 // runs once per region per close as the failure-domain restore point, over
-// record tables with tombstones, ride heaps and both stage slots. This test
+// record tables with tombstones, ride heaps and open-period stages. This test
 // pins those bytes as one FNV-1a digest over every region save (and every
 // sharded container) of a seeded K=2 run with a close-fail plan, so an
 // encoder change that alters any byte of any section fails here. The scenario's coverage is checked by decoding
 // the blobs, so a scenario edit cannot silently drop a case.
 
-constexpr uint64_t kFailureDomainSavesDigest = 0xdea21bbf5a9ab818ULL;
+constexpr uint64_t kFailureDomainSavesDigest = 0xe5123ddc987cdfeeULL;
 
 /// What the decoded region blobs showed, accumulated over the run.
 struct SaveCoverage {
   bool tombstone_shares_live_id = false;  // unindexed record, id also live
   bool busy_equal_next_free = false;      // two busy entries, same period
-  bool both_stages = false;               // tasks staged in both slots
   bool pending_bits = false;              // explicit acceptance bits
 };
 
@@ -371,22 +370,6 @@ void NoteCoverage(const std::string& blob, SaveCoverage* cov) {
       prev = next_free;
     }
     ASSERT_TRUE(r.ExpectEnd().ok());
-  }
-  {  // Stage section: sealed flag, task count, tasks, valuations per slot.
-    StateReader r(sections[3]);
-    int staged_slots = 0;
-    for (int s = 0; s < 2; ++s) {
-      bool sealed = false;
-      uint64_t n = 0;
-      ASSERT_TRUE(r.GetBool(&sealed).ok());
-      ASSERT_TRUE(r.GetU64(&n).ok());
-      std::string skip(static_cast<size_t>(n) * (56 + 8), '\0');
-      if (n > 0) {
-        ASSERT_TRUE(r.GetBytes(&skip[0], skip.size()).ok());
-        ++staged_slots;
-      }
-    }
-    if (staged_slots == 2) cov->both_stages = true;
   }
   {  // Pending section: bit count first.
     StateReader r(sections[4]);
@@ -462,29 +445,17 @@ TEST(CheckpointGoldenTest, FailureDomainRegionSavesMatchPinnedDigest) {
   EXPECT_GT(containers, kPeriods / 2);
 
   // Last, each region engine is driven directly (the deployment closes no
-  // more): it stages both slots — the open period by submission, the next
-  // one sealed in bulk — and holds acceptance bits, the slots and bits a
-  // sharded region otherwise only carries inside a restore point.
+  // more): it holds submitted tasks and acceptance bits of its open period,
+  // which a sharded region otherwise only carries inside a restore point.
   for (int k = 0; k < 2; ++k) {
     MarketEngine* region = engine.region_engine(k);
-    std::vector<Task> next;
-    std::vector<double> next_values;
     for (int i = 0; i < 5; ++i) {
       Task task = MakeTask(grid, 9000 + 10 * k + i,
                            Point{rng.NextDouble(0.0, 100.0),
                                  rng.NextDouble(0.0, 100.0)},
                            rng.NextDouble(1.0, 4.0), kPeriods);
       ASSERT_TRUE(region->SubmitTask(task, rng.NextDouble(1.0, 6.0)).ok());
-      task.id += 5;
-      task.period = kPeriods + 1;
-      next.push_back(task);
-      next_values.push_back(rng.NextDouble(1.0, 6.0));
     }
-    ASSERT_TRUE(region
-                    ->StageNextPeriodTasks(next.data(),
-                                           next.data() + next.size(),
-                                           next_values.data())
-                    .ok());
     ASSERT_TRUE(region->ObserveAcceptance(9000 + 10 * k, true).ok());
     ASSERT_TRUE(region->ObserveAcceptance(9001 + 10 * k, false).ok());
     fold(region);
@@ -492,7 +463,6 @@ TEST(CheckpointGoldenTest, FailureDomainRegionSavesMatchPinnedDigest) {
 
   EXPECT_TRUE(cov.tombstone_shares_live_id);
   EXPECT_TRUE(cov.busy_equal_next_free);
-  EXPECT_TRUE(cov.both_stages);
   EXPECT_TRUE(cov.pending_bits);
   EXPECT_EQ(digest.value(), kFailureDomainSavesDigest)
       << "actual 0x" << std::hex << digest.value();

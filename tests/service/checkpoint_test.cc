@@ -413,6 +413,22 @@ TEST(EngineCheckpointTest, RejectsConfigurationMismatch) {
   EXPECT_TRUE(st.IsFailedPrecondition());
 }
 
+/// A monolith blob built from `sections` with every section CRC resealed,
+/// so only the payload decoders can catch an edit.
+std::string Reseal(const std::vector<std::string>& sections) {
+  StateWriter resealed;
+  resealed.PutBytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+  resealed.PutU32(kCheckpointFormatVersion);
+  resealed.PutU32(kCheckpointNumSections);
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const size_t header_at = internal::BeginCheckpointSection(
+        static_cast<uint32_t>(i + 1), &resealed);
+    resealed.PutBytes(sections[i].data(), sections[i].size());
+    internal::EndCheckpointSection(header_at, &resealed);
+  }
+  return resealed.data();
+}
+
 /// The strategy section is decoded last, and its trailing-bytes check runs
 /// after LoadState has replaced the strategy's state. A payload with one
 /// extra byte (CRC resealed, so only that check can catch it) must leave
@@ -451,24 +467,68 @@ TEST(EngineCheckpointTest, StrategySectionTrailingByteLeavesEngineUnchanged) {
                   kCheckpointNumSections, "MAPS checkpoint", &sections)
                   .ok());
   sections.back().push_back('\0');  // the strategy section
-  StateWriter resealed;
-  resealed.PutBytes(kCheckpointMagic, sizeof(kCheckpointMagic));
-  resealed.PutU32(kCheckpointFormatVersion);
-  resealed.PutU32(kCheckpointNumSections);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    const size_t header_at = internal::BeginCheckpointSection(
-        static_cast<uint32_t>(i + 1), &resealed);
-    resealed.PutBytes(sections[i].data(), sections[i].size());
-    internal::EndCheckpointSection(header_at, &resealed);
-  }
 
-  const Status st = engine.RestoreFromCheckpoint(resealed.data());
+  const Status st = engine.RestoreFromCheckpoint(Reseal(sections));
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_NE(st.message().find("trailing"), std::string::npos)
       << st.ToString();
   std::string after;
   ASSERT_TRUE(engine.SaveCheckpoint(&after).ok());
   EXPECT_TRUE(after == before) << "a rejected restore changed the state";
+}
+
+/// The Stages section keeps one slot per period parity, only the open
+/// period's slot holds tasks, and no slot is ever sealed. A blob breaking
+/// either rule (CRCs resealed) is rejected and leaves the engine unchanged.
+TEST(EngineCheckpointTest, StageOutsideTheOpenSlotIsRejected) {
+  EngineFixture fixture;  // period 4 open, holding one submitted task
+  MarketEngine& engine = *fixture.engine;
+  ASSERT_EQ(engine.current_period() & 1, 0);
+  std::string blob;
+  ASSERT_TRUE(engine.SaveCheckpoint(&blob).ok());
+  std::vector<std::string> sections;
+  ASSERT_TRUE(internal::ParseCheckpointContainer(
+                  blob, kCheckpointMagic, kCheckpointFormatVersion,
+                  kCheckpointNumSections, "MAPS checkpoint", &sections)
+                  .ok());
+  const std::string stages = sections[3];
+  // Slot 0 holds the open period's task; slot 1 is a false flag byte and a
+  // zero u64 count.
+  constexpr size_t kEmptySlot = 1 + 8;
+  ASSERT_GT(stages.size(), 2 * kEmptySlot);
+  ASSERT_EQ(stages.substr(stages.size() - kEmptySlot),
+            std::string(kEmptySlot, '\0'));
+
+  PeriodOutcome outcome;
+  ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
+  std::string before;
+  ASSERT_TRUE(engine.SaveCheckpoint(&before).ok());
+
+  StateWriter other_slot;
+  other_slot.PutBytes(stages.data(), stages.size() - kEmptySlot);
+  other_slot.PutBool(false);
+  other_slot.PutU64(1);
+  internal::PutTask(MakeTask(fixture.grid, 200, {15, 15}, 5.0, 5),
+                    &other_slot);
+  other_slot.PutDouble(3.0);
+  std::string sealed = stages;
+  sealed[0] = 1;
+
+  for (const std::string& tampered : {other_slot.data(), sealed}) {
+    sections[3] = tampered;
+    const Status st = engine.RestoreFromCheckpoint(Reseal(sections));
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    std::string after;
+    ASSERT_TRUE(engine.SaveCheckpoint(&after).ok());
+    EXPECT_TRUE(after == before) << "a rejected restore changed the state";
+  }
+
+  // The untouched section, resealed the same way, restores to the blob.
+  sections[3] = stages;
+  ASSERT_TRUE(engine.RestoreFromCheckpoint(Reseal(sections)).ok());
+  std::string restored;
+  ASSERT_TRUE(engine.SaveCheckpoint(&restored).ok());
+  EXPECT_TRUE(restored == blob);
 }
 
 /// Satellite 3: the seeded corruption fuzzer. Every truncation or bit flip

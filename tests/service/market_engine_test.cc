@@ -94,9 +94,9 @@ Trace SimulatorTrace(const Workload& w, ThreadPool* pool) {
 
 /// Feeds the workload through the raw event API — the same events the
 /// replay adapter produces, but hand-rolled so the test is independent of
-/// the adapter's implementation. `stage_next` exercises the bulk-staging
-/// path; otherwise every task goes through SubmitTask.
-Trace EngineTrace(const Workload& w, ThreadPool* pool, bool stage_next) {
+/// the adapter's implementation. Each period's tasks are submitted after
+/// the previous close, before the period's workers are admitted.
+Trace EngineTrace(const Workload& w, ThreadPool* pool) {
   RecordingStrategy strategy(std::make_unique<Maps>(MapsOptions{}));
   EngineOptions options;
   options.lifecycle = w.lifecycle;
@@ -128,14 +128,6 @@ Trace EngineTrace(const Workload& w, ThreadPool* pool, bool stage_next) {
   testing_util::InvariantTracker invariants("EngineTrace");
   submit_period(0);
   for (int32_t t = 0; t < w.num_periods; ++t) {
-    if (stage_next && t + 1 < w.num_periods) {
-      const auto [begin, end] = range[t + 1];
-      EXPECT_TRUE(engine
-                      .StageNextPeriodTasks(w.tasks.data() + begin,
-                                            w.tasks.data() + end,
-                                            w.valuations.data() + begin)
-                      .ok());
-    }
     while (next_entry < w.workers.size() &&
            w.workers[next_entry].period == t) {
       EXPECT_TRUE(engine.AddWorker(w.workers[next_entry]).ok());
@@ -148,7 +140,7 @@ Trace EngineTrace(const Workload& w, ThreadPool* pool, bool stage_next) {
           w.tasks.begin() + static_cast<ptrdiff_t>(range[t].second));
       invariants.Check(outcome, &period_tasks);
     }
-    if (!stage_next && t + 1 < w.num_periods) submit_period(t + 1);
+    if (t + 1 < w.num_periods) submit_period(t + 1);
     if (outcome.skipped) continue;
     trace.periods.push_back(outcome.period);
     trace.revenue.push_back(outcome.revenue);
@@ -189,8 +181,7 @@ Workload BeijingCase() {
 
 /// The tentpole contract: RunSimulation and hand-fed engine events produce
 /// bit-identical prices, per-period outcomes, and revenue on synthetic and
-/// Beijing workloads, across no-pool/1/2/8 threads, staged and submit-only
-/// feeds.
+/// Beijing workloads, across no-pool/1/2/8 threads.
 TEST(EnginePoolBackedTest, EventFeedMatchesSimulatorBitIdentical) {
   for (const bool beijing : {false, true}) {
     const Workload w = beijing ? BeijingCase() : SyntheticCase();
@@ -199,17 +190,13 @@ TEST(EnginePoolBackedTest, EventFeedMatchesSimulatorBitIdentical) {
     ASSERT_GT(baseline.total_revenue, 0.0);
     ASSERT_FALSE(baseline.prices.empty());
 
-    EXPECT_TRUE(EngineTrace(w, nullptr, false) == baseline) << "no pool";
-    EXPECT_TRUE(EngineTrace(w, nullptr, true) == baseline)
-        << "no pool, bulk staging";
+    EXPECT_TRUE(EngineTrace(w, nullptr) == baseline) << "no pool";
     for (int threads : {1, 2, 8}) {
       ThreadPool pool(threads);
       EXPECT_TRUE(SimulatorTrace(w, &pool) == baseline)
           << threads << " threads, sim";
-      EXPECT_TRUE(EngineTrace(w, &pool, true) == baseline)
-          << threads << " threads, engine staged";
-      EXPECT_TRUE(EngineTrace(w, &pool, false) == baseline)
-          << threads << " threads, engine submit-only";
+      EXPECT_TRUE(EngineTrace(w, &pool) == baseline)
+          << threads << " threads, engine";
     }
   }
 }
@@ -240,10 +227,10 @@ GridPartition OneCellGrid() {
   return GridPartition::Make(Rect{0, 0, 10, 10}, 1, 1).ValueOrDie();
 }
 
-/// A pooled engine fed bulk-staged periods puts no job on the pool when
-/// neither the strategy nor the MC diagnostic asks for one: staging only
-/// seals the batch, and ClosePeriod builds the period's snapshot inline.
-TEST(EnginePoolBackedTest, StagedFeedSubmitsNoPoolWork) {
+/// A pooled engine fed submitted periods puts no job on the pool when
+/// neither the strategy nor the MC diagnostic asks for one: submission only
+/// buffers the task, and ClosePeriod builds the period's snapshot inline.
+TEST(EnginePoolBackedTest, SubmittedFeedSubmitsNoPoolWork) {
   const GridPartition grid = OneCellGrid();
   FixedPriceStrategy fixed(1.0);
   obs::MetricsRegistry registry;
@@ -257,19 +244,15 @@ TEST(EnginePoolBackedTest, StagedFeedSubmitsNoPoolWork) {
 
   PeriodOutcome outcome;
   for (int32_t t = 0; t < 4; ++t) {
-    const std::vector<Task> next = {
-        MakeTask(grid, 2 * t, {5, 5}, 2.0, t + 1),
-        MakeTask(grid, 2 * t + 1, {5, 6}, 1.0, t + 1)};
-    const double valuations[] = {9.0, 0.5};
-    ASSERT_TRUE(engine
-                    .StageNextPeriodTasks(next.data(),
-                                          next.data() + next.size(),
-                                          valuations)
-                    .ok());
+    ASSERT_TRUE(
+        engine.SubmitTask(MakeTask(grid, 2 * t, {5, 5}, 2.0, t), 9.0).ok());
+    ASSERT_TRUE(
+        engine.SubmitTask(MakeTask(grid, 2 * t + 1, {5, 6}, 1.0, t), 0.5)
+            .ok());
     ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
   }
   EXPECT_EQ(fixed.rounds(), 4);
-  EXPECT_EQ(outcome.num_tasks, 2);  // the staged batches arrived
+  EXPECT_EQ(outcome.num_tasks, 2);  // the submitted tasks arrived
   EXPECT_EQ(registry
                 .GetCounter("pool.tasks_submitted",
                             obs::Determinism::kWallClock)
@@ -357,24 +340,11 @@ TEST(MarketEngineTest, DeadPeriodSkipsTheStrategy) {
   EXPECT_EQ(outcome.num_tasks, 0);
 }
 
-TEST(MarketEngineTest, StagingAndSubmissionGuards) {
+TEST(MarketEngineTest, SubmissionGuards) {
   const GridPartition grid = OneCellGrid();
   FixedPriceStrategy fixed(1.0);
   MarketEngine engine(&grid, &fixed, EngineOptions{});
-
-  const Task next = MakeTask(grid, 7, {5, 5}, 2.0, 1);
-  ASSERT_TRUE(engine.StageNextPeriodTasks(&next, &next + 1, nullptr).ok());
-  // The sealed next period rejects further bulk staging now and SubmitTask
-  // once it becomes the open period.
-  EXPECT_TRUE(engine.StageNextPeriodTasks(&next, &next + 1, nullptr)
-                  .IsFailedPrecondition());
   ASSERT_TRUE(engine.AddWorker(MakeWorker(grid, 0, {5, 5}, 5.0, 0)).ok());
-  PeriodOutcome outcome;
-  ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
-  EXPECT_TRUE(engine.SubmitTask(MakeTask(grid, 8, {5, 5}, 1.0, 1))
-                  .IsFailedPrecondition());
-  ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
-  EXPECT_EQ(outcome.num_tasks, 1);  // the staged task arrived
 
   // Duplicate worker ids and out-of-partition tasks are rejected.
   EXPECT_EQ(engine.AddWorker(MakeWorker(grid, 0, {5, 5}, 5.0, 0)).code(),
@@ -442,21 +412,6 @@ TEST(MarketEngineTest, RejectionCountersTrackMalformedTraffic) {
   EXPECT_EQ(outcome.rejections.orphan_acceptances, 3);
   EXPECT_EQ(outcome.rejections.duplicate_tasks, 1);
   ASSERT_EQ(outcome.accepted.size(), 1u);
-}
-
-TEST(MarketEngineTest, StagedBatchWithRepeatedIdsIsRejected) {
-  const GridPartition grid = OneCellGrid();
-  FixedPriceStrategy fixed(1.0);
-  MarketEngine engine(&grid, &fixed, EngineOptions{});
-  const Task dup[2] = {MakeTask(grid, 3, {5, 5}, 2.0, 1),
-                       MakeTask(grid, 3, {6, 6}, 3.0, 1)};
-  EXPECT_TRUE(
-      engine.StageNextPeriodTasks(dup, dup + 2, nullptr).IsInvalidArgument());
-  EXPECT_EQ(engine.rejections().duplicate_tasks, 1);
-  // The rejected batch did not seal the next period: a clean batch works.
-  const Task ok_task = MakeTask(grid, 3, {5, 5}, 2.0, 1);
-  EXPECT_TRUE(engine.StageNextPeriodTasks(&ok_task, &ok_task + 1, nullptr)
-                  .ok());
 }
 
 TEST(MarketEngineTest, NullOutcomeAndWrongPriceVectorAreErrors) {

@@ -4,8 +4,7 @@
 // the remaining event feed, and require the resumed run to be bit-identical
 // — prices, accepted ids, match assignments, revenue, and the Monte-Carlo
 // expected-revenue diagnostic — to the uninterrupted run. The matrix covers
-// synthetic and Beijing workloads, no-pool / 1 / 2 / 8 pool threads, and
-// bulk-staged vs submit-only feeds.
+// synthetic and Beijing workloads and no-pool / 1 / 2 / 8 pool threads.
 
 #include <gtest/gtest.h>
 
@@ -138,30 +137,21 @@ struct Feed {
 
   /// Runs periods [from, num_periods) on an engine whose open period is
   /// `from` and whose period-`from` tasks are already in (submitted by the
-  /// previous iteration, staged, or restored from a checkpoint). When
-  /// `save_at` >= 0, checkpoints at that boundary into `blob`.
-  void Run(MarketEngine* engine, RecordingStrategy* strategy, bool stage_next,
-           int32_t from, int32_t save_at, std::string* blob,
-           std::vector<Row>* rows) const {
+  /// previous iteration or restored from a checkpoint). When `save_at` >= 0,
+  /// checkpoints at that boundary into `blob`.
+  void Run(MarketEngine* engine, RecordingStrategy* strategy, int32_t from,
+           int32_t save_at, std::string* blob, std::vector<Row>* rows) const {
     PeriodOutcome outcome;
     for (int32_t t = from; t < w->num_periods; ++t) {
       if (t == save_at) {
         ASSERT_TRUE(engine->SaveCheckpoint(blob).ok());
-      }
-      if (stage_next && t + 1 < w->num_periods) {
-        const auto [begin, end] = task_range[static_cast<size_t>(t + 1)];
-        ASSERT_TRUE(engine
-                        ->StageNextPeriodTasks(w->tasks.data() + begin,
-                                               w->tasks.data() + end,
-                                               w->valuations.data() + begin)
-                        .ok());
       }
       for (size_t j = first_worker[static_cast<size_t>(t)];
            j < w->workers.size() && w->workers[j].period == t; ++j) {
         ASSERT_TRUE(engine->AddWorker(w->workers[j]).ok());
       }
       ASSERT_TRUE(engine->ClosePeriod(&outcome).ok());
-      if (!stage_next && t + 1 < w->num_periods) SubmitPeriod(engine, t + 1);
+      if (t + 1 < w->num_periods) SubmitPeriod(engine, t + 1);
       if (!outcome.skipped) rows->push_back(MakeRow(outcome, *strategy));
     }
   }
@@ -177,28 +167,28 @@ EngineOptions MakeOptions(const Workload& w, ThreadPool* pool) {
 }
 
 /// The uninterrupted run, checkpointing at boundary `save_at`.
-std::vector<Row> Baseline(const Feed& feed, ThreadPool* pool, bool stage_next,
-                          int32_t save_at, std::string* blob) {
+std::vector<Row> Baseline(const Feed& feed, ThreadPool* pool, int32_t save_at,
+                          std::string* blob) {
   RecordingStrategy strategy(std::make_unique<Maps>(MapsOptions{}));
   MarketEngine engine(&feed.w->grid, &strategy, MakeOptions(*feed.w, pool));
   DemandOracle history = feed.w->oracle.Fork(7);
   EXPECT_TRUE(strategy.Warmup(feed.w->grid, &history).ok());
   std::vector<Row> rows;
   feed.SubmitPeriod(&engine, 0);
-  feed.Run(&engine, &strategy, stage_next, 0, save_at, blob, &rows);
+  feed.Run(&engine, &strategy, 0, save_at, blob, &rows);
   return rows;
 }
 
 /// The crash-recovery run: a fresh engine and a NEVER-warmed fresh strategy
 /// rebuilt purely from the checkpoint bytes, resuming the remaining feed.
-std::vector<Row> Resume(const Feed& feed, ThreadPool* pool, bool stage_next,
+std::vector<Row> Resume(const Feed& feed, ThreadPool* pool,
                         const std::string& blob) {
   RecordingStrategy strategy(std::make_unique<Maps>(MapsOptions{}));
   MarketEngine engine(&feed.w->grid, &strategy, MakeOptions(*feed.w, pool));
   EXPECT_TRUE(engine.RestoreFromCheckpoint(blob).ok());
   std::vector<Row> rows;
-  feed.Run(&engine, &strategy, stage_next, engine.current_period(),
-           /*save_at=*/-1, nullptr, &rows);
+  feed.Run(&engine, &strategy, engine.current_period(), /*save_at=*/-1,
+           nullptr, &rows);
   return rows;
 }
 
@@ -232,8 +222,7 @@ Workload BeijingCase() {
 }
 
 /// The acceptance matrix: kill/restore at a mid-horizon boundary on both
-/// workloads, across no-pool/1/2/8 threads and staged/submit-only feeds,
-/// resumes bit-identically.
+/// workloads, across no-pool/1/2/8 threads, resumes bit-identically.
 TEST(RecoveryHarnessTest, RestoreAtBoundaryResumesBitIdentical) {
   for (const bool beijing : {false, true}) {
     SCOPED_TRACE(beijing ? "beijing" : "synthetic");
@@ -243,7 +232,7 @@ TEST(RecoveryHarnessTest, RestoreAtBoundaryResumesBitIdentical) {
 
     std::string blob;
     const std::vector<Row> baseline =
-        Baseline(feed, nullptr, false, save_at, &blob);
+        Baseline(feed, nullptr, save_at, &blob);
     ASSERT_FALSE(baseline.empty());
     ASSERT_FALSE(blob.empty());
     const std::vector<Row> tail = TailOf(baseline, save_at);
@@ -255,23 +244,17 @@ TEST(RecoveryHarnessTest, RestoreAtBoundaryResumesBitIdentical) {
     }
     ASSERT_GT(mc_max, 0.0);
 
-    EXPECT_TRUE(Resume(feed, nullptr, false, blob) == tail)
-        << "no pool, submit-only";
-    EXPECT_TRUE(Resume(feed, nullptr, true, blob) == tail)
-        << "no pool, bulk staging";
+    EXPECT_TRUE(Resume(feed, nullptr, blob) == tail) << "no pool";
     for (const int threads : {1, 2, 8}) {
       ThreadPool pool(threads);
-      EXPECT_TRUE(Resume(feed, &pool, true, blob) == tail)
-          << threads << " threads, bulk staging";
-      EXPECT_TRUE(Resume(feed, &pool, false, blob) == tail)
-          << threads << " threads, submit-only";
+      EXPECT_TRUE(Resume(feed, &pool, blob) == tail) << threads << " threads";
     }
   }
 }
 
 /// Adversarial boundaries: right after the first close, and right before
-/// the last. Also crosses checkpoint producers: a staged pool-backed
-/// baseline's checkpoint restores into a no-pool engine and vice versa.
+/// the last. Also crosses checkpoint producers: a pool-backed baseline's
+/// checkpoint restores into a no-pool engine and vice versa.
 TEST(RecoveryHarnessTest, AdversarialBoundariesAndCrossConfigRestore) {
   const Workload w = SyntheticCase();
   const Feed feed(w);
@@ -281,22 +264,21 @@ TEST(RecoveryHarnessTest, AdversarialBoundariesAndCrossConfigRestore) {
     SCOPED_TRACE(save_at);
     std::string blob;
     const std::vector<Row> baseline =
-        Baseline(feed, &pool, true, save_at, &blob);
+        Baseline(feed, &pool, save_at, &blob);
     const std::vector<Row> tail = TailOf(baseline, save_at);
     ASSERT_FALSE(blob.empty());
 
-    // The staged baseline checkpoint carries a sealed next-period stage;
-    // both a pool-backed and a no-pool engine must resume identically.
-    EXPECT_TRUE(Resume(feed, &pool, true, blob) == tail);
-    EXPECT_TRUE(Resume(feed, nullptr, true, blob) == tail);
+    // The checkpoint carries the open period's submitted tasks; both a
+    // pool-backed and a no-pool engine must resume identically.
+    EXPECT_TRUE(Resume(feed, &pool, blob) == tail);
+    EXPECT_TRUE(Resume(feed, nullptr, blob) == tail);
   }
 
-  // And a no-pool submit-only checkpoint resumes under a pool.
+  // And a no-pool checkpoint resumes under a pool.
   std::string blob;
-  const std::vector<Row> baseline =
-      Baseline(feed, nullptr, false, 7, &blob);
+  const std::vector<Row> baseline = Baseline(feed, nullptr, 7, &blob);
   ThreadPool pool8(8);
-  EXPECT_TRUE(Resume(feed, &pool8, false, blob) == TailOf(baseline, 7));
+  EXPECT_TRUE(Resume(feed, &pool8, blob) == TailOf(baseline, 7));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Streaming replay: the ReplayEventStream reader, the shared engine driver
-// behind `maps_cli replay` and the simulator's streaming adapter, and the
-// O(1)-ingestion-memory contract a multi-million-event log relies on.
+// behind `maps_cli replay`, and the O(1)-ingestion-memory contract a
+// multi-million-event log relies on.
 
 #include "service/replay_driver.h"
 
@@ -14,6 +14,7 @@
 
 #include "geo/region_partition.h"
 #include "service/replay_log.h"
+#include "replay_test_util.h"
 #include "sharded_test_util.h"
 #include "sim/replay_export.h"
 #include "sim/simulator.h"
@@ -21,6 +22,8 @@
 
 namespace maps {
 namespace {
+
+using testing_util::ReadReplayEvents;
 
 using testing_util::CellLocalStrategy;
 
@@ -45,24 +48,25 @@ TEST(ReplayEventStreamTest, YieldsExactlyWhatLoadMaterializes) {
       R"({"event":"close_period"})"
       "\n";
 
-  std::istringstream load_in(corpus);
-  const std::vector<ReplayEvent> loaded =
-      LoadReplayLog(load_in).ValueOrDie();
-
   std::istringstream stream_in(corpus);
   ReplayEventStream stream(stream_in);
   std::vector<ReplayEvent> streamed;
   ReplayEvent ev;
   while (stream.Next(&ev).ValueOrDie()) streamed.push_back(ev);
 
-  ASSERT_EQ(streamed.size(), loaded.size());
-  for (size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(streamed[i].kind, loaded[i].kind) << "event " << i;
-    EXPECT_EQ(streamed[i].id, loaded[i].id) << "event " << i;
-    EXPECT_EQ(streamed[i].task.id, loaded[i].task.id) << "event " << i;
-    EXPECT_EQ(streamed[i].worker.id, loaded[i].worker.id) << "event " << i;
-    EXPECT_EQ(streamed[i].has_valuation, loaded[i].has_valuation);
-  }
+  using Kind = ReplayEvent::Kind;
+  ASSERT_EQ(streamed.size(), 5u);
+  EXPECT_EQ(streamed[0].kind, Kind::kAddWorker);
+  EXPECT_EQ(streamed[0].worker.id, 1);
+  EXPECT_EQ(streamed[1].kind, Kind::kSubmitTask);
+  EXPECT_EQ(streamed[1].task.id, 5);
+  EXPECT_TRUE(streamed[1].has_valuation);
+  EXPECT_EQ(streamed[2].kind, Kind::kObserveAcceptance);
+  EXPECT_EQ(streamed[2].id, 5);
+  EXPECT_FALSE(streamed[2].accepted);
+  EXPECT_EQ(streamed[3].kind, Kind::kRemoveWorker);
+  EXPECT_EQ(streamed[3].id, 1);
+  EXPECT_EQ(streamed[4].kind, Kind::kClosePeriod);
   EXPECT_EQ(stream.stats().events_loaded, 5);
   EXPECT_EQ(stream.stats().lines_skipped, 0);
   // A drained stream keeps returning EOF, not an error.
@@ -148,7 +152,7 @@ TEST(ReplayEventStreamTest, IngestionFootprintIsIndependentOfLogLength) {
   // orders of magnitude above the streaming ceiling.
   std::istringstream load_in(large_log);
   const std::vector<ReplayEvent> loaded =
-      LoadReplayLog(load_in).ValueOrDie();
+      ReadReplayEvents(load_in).ValueOrDie();
   const size_t materialized = loaded.capacity() * sizeof(ReplayEvent);
   EXPECT_GT(materialized, 1000 * large_peak);
 }
@@ -327,9 +331,9 @@ TEST(ReplayDriverTest, ShardedOverloadMatchesMonolithOnBoundaryFreeLog) {
 }
 
 // ---------------------------------------------------------------------------
-// The simulator's streaming adapter against its materialized twin.
+// An exported workload replayed through the driver against RunSimulation.
 
-TEST(ReplayDriverTest, RunReplayStreamMatchesRunSimulationOnExportedLog) {
+TEST(ReplayDriverTest, StreamedExportedLogMatchesRunSimulation) {
   SyntheticConfig cfg;
   cfg.num_workers = 60;
   cfg.num_tasks = 240;
@@ -349,19 +353,25 @@ TEST(ReplayDriverTest, RunReplayStreamMatchesRunSimulationOnExportedLog) {
   ASSERT_TRUE(WriteReplayLog(workload, exported).ok());
   std::istringstream in(exported.str());
   ReplayEventStream stream(in);
-  SimOptions stream_options = options;
-  stream_options.engine.lifecycle = workload.lifecycle;
+  EngineOptions engine_options;
+  engine_options.lifecycle = workload.lifecycle;
   CellLocalStrategy stream_strategy;
-  const SimulationResult streamed =
-      RunReplayStream(&stream, workload.grid, &stream_strategy,
-                      /*warmup_oracle=*/nullptr, stream_options)
+  MarketEngine engine(&workload.grid, &stream_strategy, engine_options);
+  int64_t streamed_tasks = 0;
+  ReplayStreamOptions drive;
+  drive.on_close = [&streamed_tasks](const PeriodOutcome& outcome) {
+    streamed_tasks += outcome.num_tasks;
+    return Status::OK();
+  };
+  const ReplayStreamSummary streamed =
+      ReplayEventsThroughEngine(&stream, workload.grid, &engine, drive)
           .ValueOrDie();
 
-  EXPECT_EQ(streamed.num_tasks, batch.num_tasks);
-  EXPECT_EQ(streamed.num_accepted, batch.num_accepted);
-  EXPECT_EQ(streamed.num_matched, batch.num_matched);
+  EXPECT_EQ(streamed_tasks, batch.num_tasks);
+  EXPECT_EQ(streamed.total_accepted, batch.num_accepted);
+  EXPECT_EQ(streamed.total_matched, batch.num_matched);
   EXPECT_EQ(streamed.total_revenue, batch.total_revenue);  // bit-identical
-  ASSERT_GT(streamed.num_matched, 0);
+  ASSERT_GT(streamed.total_matched, 0);
 }
 
 }  // namespace

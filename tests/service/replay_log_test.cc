@@ -11,12 +11,15 @@
 
 #include "rng/random.h"
 #include "replay_log_oracle.h"
+#include "replay_test_util.h"
 #include "sim/scenario_fuzzer.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
 
 namespace maps {
 namespace {
+
+using testing_util::ReadReplayEvents;
 
 TEST(ReplayLogTest, ParsesEveryEventKind) {
   auto submit = ParseReplayEventLine(
@@ -101,7 +104,7 @@ TEST(ReplayLogTest, LoadSkipsBlanksAndCommentsAndNumbersErrors) {
       "   # indented comment\n"
       R"({"event":"close_period"})"
       "\n");
-  auto events = LoadReplayLog(good).ValueOrDie();
+  auto events = ReadReplayEvents(good).ValueOrDie();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, ReplayEvent::Kind::kAddWorker);
   EXPECT_EQ(events[1].kind, ReplayEvent::Kind::kClosePeriod);
@@ -111,7 +114,7 @@ TEST(ReplayLogTest, LoadSkipsBlanksAndCommentsAndNumbersErrors) {
       R"({"event":"close_period"})"
       "\n"
       "{broken\n");
-  auto err = LoadReplayLog(bad);
+  auto err = ReadReplayEvents(bad);
   ASSERT_FALSE(err.ok());
   EXPECT_NE(err.status().message().find("line 3"), std::string::npos);
 }
@@ -193,7 +196,7 @@ TEST(ReplayLogTest, SkipBadEventsDropsAndCountsMalformedLines) {
 
   // Strict load fails on the first bad line, with its number.
   std::istringstream strict(corpus);
-  auto err = LoadReplayLog(strict);
+  auto err = ReadReplayEvents(strict);
   ASSERT_FALSE(err.ok());
   EXPECT_NE(err.status().message().find("line 3"), std::string::npos);
 
@@ -202,7 +205,7 @@ TEST(ReplayLogTest, SkipBadEventsDropsAndCountsMalformedLines) {
   ReplayLoadOptions options;
   options.skip_bad_events = true;
   ReplayLoadStats stats;
-  auto events = LoadReplayLog(lax, options, &stats).ValueOrDie();
+  auto events = ReadReplayEvents(lax, options, &stats).ValueOrDie();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, ReplayEvent::Kind::kAddWorker);
   EXPECT_EQ(events[1].kind, ReplayEvent::Kind::kClosePeriod);
@@ -213,7 +216,7 @@ TEST(ReplayLogTest, SkipBadEventsDropsAndCountsMalformedLines) {
   std::istringstream clean(R"({"event":"close_period"})");
   ReplayLoadStats clean_stats;
   ASSERT_TRUE(
-      LoadReplayLog(clean, ReplayLoadOptions{}, &clean_stats).ok());
+      ReadReplayEvents(clean, ReplayLoadOptions{}, &clean_stats).ok());
   EXPECT_EQ(clean_stats.lines_skipped, 0);
   EXPECT_EQ(clean_stats.events_loaded, 1);
 }
@@ -275,7 +278,7 @@ TEST(ReplayLogTest, SkipBadEventsRecoversEveryCorpusEntry) {
   ReplayLoadOptions options;
   options.skip_bad_events = true;
   ReplayLoadStats stats;
-  const auto events = LoadReplayLog(in, options, &stats).ValueOrDie();
+  const auto events = ReadReplayEvents(in, options, &stats).ValueOrDie();
   EXPECT_EQ(events.size(), corpus.size());
   EXPECT_EQ(stats.lines_skipped, static_cast<int64_t>(corpus.size()));
   EXPECT_EQ(stats.events_loaded, static_cast<int64_t>(corpus.size()));
@@ -289,7 +292,7 @@ TEST(ReplayLogTest, InjectedReadErrorFailsAtTheArmedLine) {
 
   ScopedFaultPlan plan("read_err@p2");
   std::istringstream in(log);
-  auto err = LoadReplayLog(in);
+  auto err = ReadReplayEvents(in);
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kInternal);
   EXPECT_NE(err.status().message().find("line 2"), std::string::npos);
@@ -299,7 +302,7 @@ TEST(ReplayLogTest, InjectedReadErrorFailsAtTheArmedLine) {
   std::istringstream again(log);
   ReplayLoadOptions options;
   options.skip_bad_events = true;
-  EXPECT_FALSE(LoadReplayLog(again, options).ok());
+  EXPECT_FALSE(ReadReplayEvents(again, options).ok());
   EXPECT_EQ(FaultInjector::Global().fires(FaultRule::Kind::kReplayReadError),
             2);
 }
@@ -527,7 +530,7 @@ TEST(ReplayLogTest, MatchesOracleOnSeededMutations) {
   ReplayLoadOptions options;
   options.skip_bad_events = true;
   ReplayLoadStats stats;
-  auto got = LoadReplayLog(in, options, &stats);
+  auto got = ReadReplayEvents(in, options, &stats);
   SetLogLevel(saved_level);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   const std::vector<ReplayEvent>& events = got.ValueOrDie();

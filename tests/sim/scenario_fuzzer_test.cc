@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include "../service/replay_test_util.h"
 #include "geo/region_partition.h"
 #include "service/replay_log.h"
 #include "sim/workload.h"
 
 namespace maps {
 namespace {
+
+using testing_util::ReadReplayEvents;
 
 ScenarioSpec SpecByName(const std::string& name) {
   for (const ScenarioSpec& spec : DefaultScenarioMatrix()) {
@@ -43,7 +46,7 @@ TEST(ScenarioFuzzerTest, CleanLogsParseStrictly) {
     std::ostringstream log;
     ASSERT_TRUE(WriteScenarioLog(spec, 1, log).ok());
     std::istringstream in(log.str());
-    auto events = LoadReplayLog(in);
+    auto events = ReadReplayEvents(in);
     ASSERT_TRUE(events.ok()) << events.status().ToString();
     EXPECT_GT(events.ValueOrDie().size(), 0u);
   }
@@ -151,18 +154,18 @@ TEST(ScenarioFuzzerTest, CorruptionModeInjectsEveryNthLineAndIsSkippable) {
   // Strict mode must refuse the corrupted log...
   {
     std::istringstream in(corrupt.str());
-    EXPECT_FALSE(LoadReplayLog(in).ok());
+    EXPECT_FALSE(ReadReplayEvents(in).ok());
   }
   // ...while skip_bad_events recovers exactly the clean event sequence and
   // counts every injected line.
   std::istringstream clean_in(clean.str());
-  const auto clean_events = LoadReplayLog(clean_in).ValueOrDie();
+  const auto clean_events = ReadReplayEvents(clean_in).ValueOrDie();
   std::istringstream corrupt_in(corrupt.str());
   ReplayLoadOptions options;
   options.skip_bad_events = true;
   ReplayLoadStats stats;
   const auto recovered =
-      LoadReplayLog(corrupt_in, options, &stats).ValueOrDie();
+      ReadReplayEvents(corrupt_in, options, &stats).ValueOrDie();
   EXPECT_EQ(recovered.size(), clean_events.size());
   EXPECT_EQ(stats.lines_skipped,
             static_cast<int64_t>(clean_events.size()) / 3);

@@ -363,8 +363,8 @@ TEST(SimulatorTest, StrategySeesEveryNonEmptyPeriod) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool-backed runs (the replay adapter bulk-stages each next period) must be
-// bit-identical to the serial path at every thread count, per-period.
+// Pool-backed runs must be bit-identical to the serial path at every thread
+// count, per-period.
 // ---------------------------------------------------------------------------
 
 /// Deterministic fields of a run, compared exactly across configurations.

@@ -66,6 +66,10 @@ DEFAULT_KEYS = [
 # Checked within NEW alone (and reported for OLD), so they hold even when
 # the old/new scale mismatch skips the cross-file gate. The observability
 # contract (DESIGN.md §16) budgets instrumentation at 5% of the close.
+# When the numerator row was timed in interleaved pairs against the
+# baseline (bench_micro writes "paired_with" and "paired_ratio", the median
+# of the per-pair ratios), that ratio is gated; otherwise the ratio of the
+# two ns_per_op values.
 OVERHEAD_GATES = [
     ("engine_period_metrics_on", "engine_period", 1.05),
 ]
@@ -83,6 +87,7 @@ def check_overhead(benches, gates=None, label="new"):
     Returns a list of (numerator_key, baseline_key, ratio, max_ratio)
     violations. Gates whose keys are absent or untimed are skipped (older
     baselines predate the telemetry keys), as is a non-positive baseline.
+    A paired ratio recorded against the baseline key is used when present.
     """
     failures = []
     for num_key, base_key, max_ratio in (OVERHEAD_GATES if gates is None
@@ -94,6 +99,9 @@ def check_overhead(benches, gates=None, label="new"):
         if num is None or base is None or base <= 0:
             continue
         ratio = num / base
+        if (benches[num_key].get("paired_with") == base_key
+                and benches[num_key].get("paired_ratio") is not None):
+            ratio = benches[num_key]["paired_ratio"]
         flag = ""
         if ratio > max_ratio:
             flag = "  << OVERHEAD"

@@ -103,8 +103,8 @@ Result<ExperimentRun> RunExperiment(
                   Cell& cell = run.cells[i];
                   auto strategy = strategies[cell.strategy].make();
                   SimOptions options;
-                  // Same stream schedule as the retired ExperimentSweep
-                  // path: strategies draw independent probe randomness.
+                  // One warm-up stream per strategy: strategies draw
+                  // independent probe randomness.
                   options.warmup_stream = 101 + cell.strategy;
                   // Counter-streamed, so the diagnostic is identical no
                   // matter how the matrix is threaded. The cell must NOT

@@ -94,7 +94,9 @@
 #include "sim/beijing.h"
 #include "sim/metrics.h"
 #include "sim/replay_export.h"
+#include "sim/simulator.h"
 #include "sim/synthetic.h"
+#include "util/csv.h"
 #include "util/fault_injector.h"
 #include "util/flags.h"
 #include "util/logging.h"

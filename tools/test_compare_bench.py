@@ -198,6 +198,35 @@ class CompareBenchTest(unittest.TestCase):
         code, _ = self.run_main(doc, doc)
         self.assertEqual(code, 0)
 
+    def paired_doc(self, on_ns, paired_ratio):
+        doc = bench_doc({"engine_period": 1000.0,
+                         "engine_period_metrics_on": on_ns})
+        on = doc["benchmarks"][1]
+        on["paired_with"] = "engine_period"
+        on["paired_ratio"] = paired_ratio
+        return doc
+
+    def test_paired_ratio_gates_instead_of_the_minima(self):
+        # The two best-of minima read 12% apart, but the paired reps put
+        # the overhead at 1%: the paired ratio decides.
+        doc = self.paired_doc(1120.0, 1.01)
+        code, out = self.run_main(doc, doc)
+        self.assertEqual(code, 0)
+        self.assertIn("engine_period_metrics_on / engine_period = 1.010", out)
+
+    def test_paired_ratio_over_budget_fails(self):
+        doc = self.paired_doc(1000.0, 1.08)
+        code, out = self.run_main(doc, doc)
+        self.assertEqual(code, 1)
+        self.assertIn("OVERHEAD", out)
+
+    def test_paired_ratio_against_another_key_is_ignored(self):
+        doc = self.paired_doc(1100.0, 1.0)
+        doc["benchmarks"][1]["paired_with"] = "simulator_periods"
+        code, out = self.run_main(doc, doc)
+        self.assertEqual(code, 1)
+        self.assertIn("engine_period_metrics_on / engine_period = 1.100", out)
+
     def test_check_overhead_skips_untimed_entries(self):
         benches = {"engine_period": {"name": "engine_period"},
                    "engine_period_metrics_on":
